@@ -1,19 +1,16 @@
-// N-sweep benchmarks for the decomposition stack at N >= 1024 ports
-// (ISSUE 7): the scale twin of bench_micro_kernels.  Where the micro
-// suite sweeps density at N <= 128, this one holds nnz roughly constant
-// (~8k edges) while N grows 256 -> 4096, which is the regime ROADMAP
-// item 4 flags: per-round costs that scale with N rather than with the
-// support dominate, and the bitset Hopcroft-Karp + lazy-key parallel peel
-// paths engage.
+// N-sweep benchmarks for the decomposition stack at N >= 1024 ports: the
+// scale twin of bench_micro_kernels.  Where the micro suite sweeps density
+// at N <= 128, this one holds nnz roughly constant (~8k edges) while N
+// grows 256 -> 4096, the regime where per-round costs that scale with N
+// rather than with the support dominate and the bitset Hopcroft-Karp path
+// engages.
 //
 // Row groups:
 //   * BM_ThresholdMatchingSparse / BM_BottleneckMatchingSparse — the
 //     matching kernels at scale (the /1024/125 row is dense enough that
 //     kAuto selects the bitset BFS; the constant-nnz rows stay on CSR).
-//   * BM_PeelParallel/{N}/{permille}/{threads} vs BM_PeelSequential —
-//     full-schedule BvN decomposition, lazy-key parallel peel against the
-//     retained kFirstMatching peel on identical stuffed inputs.  The
-//     ns ratio at equal shape is the headline `peel_speedup_1024`.
+//   * BM_PeelSequential/{N}/{permille} — full-schedule kFirstMatching BvN
+//     decomposition of a stuffed input.
 //   * BM_RecoSinPlan / BM_SolsticePlan — whole-planner cost vs fabric
 //     width (folded in from the retired bench_scalability binary).
 //   * BM_OnlineDaemonStream — streamed arrivals through the event-driven
@@ -21,19 +18,15 @@
 //     -DRECO_BENCH_SOAK=ON (see bench/CMakeLists.txt).
 //
 // `--baseline_json=FILE` writes BENCH_scale.json; CI's perf-guard-scale
-// step gates BM_PeelParallel/1024/* and BM_BottleneckMatchingSparse/1024/*
-// against the committed copy.  Timing comes from the shared harness in
-// bench_util.hpp (0.05 s min time x 3 repetitions, median recorded).
+// step gates BM_BottleneckMatchingSparse/1024/* against the committed
+// copy.  Timing comes from the shared harness in bench_util.hpp (0.05 s
+// min time x 3 repetitions, median recorded).
 #define RECO_BENCH_WITH_GBENCH
-#include <string>
-#include <utility>
-#include <vector>
+#include <cstdint>
 
 #include "bench_util.hpp"
 #include "bvn/bvn.hpp"
-#include "bvn/parallel_peel.hpp"
 #include "bvn/stuffing.hpp"
-#include "core/simd.hpp"
 #include "core/support_index.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "matching/matching_engine.hpp"
@@ -102,57 +95,11 @@ void BM_BottleneckMatchingSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_BottleneckMatchingSparse)->Apply(ScaleSweep);
 
-// ---- full BvN peel: parallel vs retained sequential ----------------------
+// ---- full BvN peel -------------------------------------------------------
 //
-// Args are {N, permille, threads} / {N, permille}.  Both peels decompose
-// the same stuffed input into a complete CircuitSchedule; at these shapes
-// the schedule has thousands of rounds, so the sequential peel's O(N) scan
-// + O(N) index subtractions per round dominate while the lazy-key peel
-// pays O(freed * log N) per round plus the (parallelizable) output writes.
-
-void BM_PeelParallel(benchmark::State& state) {
-  const Matrix stuffed = stuff(swept_input(state, 4));
-  runtime::set_thread_count(static_cast<int>(state.range(2)));
-  int rounds = 0;
-  for (auto _ : state) {
-    rounds = bvn_decompose(SupportIndex(stuffed), BvnPolicy::kParallelPeel).num_assignments();
-    benchmark::DoNotOptimize(rounds);
-  }
-  runtime::set_thread_count(0);
-  state.counters["rounds"] = static_cast<double>(rounds);
-  state.counters["threads"] = static_cast<double>(state.range(2));
-  report_shape(state, stuffed);
-}
-BENCHMARK(BM_PeelParallel)
-    ->Args({512, 16, 1})
-    ->Args({512, 16, 8})
-    ->Args({1024, 8, 1})
-    ->Args({1024, 8, 8});
-
-// Speculative lookahead, depth pinned explicitly (BM_PeelParallel runs the
-// auto-resolved production depth).  Args are {N, permille, threads, depth}.
-// Comparing the /8/{threads}/0 and /8/{threads}/{k} rows attributes the
-// lookahead win separately from the SIMD kernel win, which both peels share.
-void BM_PeelSpeculative(benchmark::State& state) {
-  const Matrix stuffed = stuff(swept_input(state, 4));
-  runtime::set_thread_count(static_cast<int>(state.range(2)));
-  const int depth = static_cast<int>(state.range(3));
-  int rounds = 0;
-  for (auto _ : state) {
-    rounds = peel_parallel(SupportIndex(stuffed), depth).num_assignments();
-    benchmark::DoNotOptimize(rounds);
-  }
-  runtime::set_thread_count(0);
-  state.counters["rounds"] = static_cast<double>(rounds);
-  state.counters["threads"] = static_cast<double>(state.range(2));
-  state.counters["depth"] = static_cast<double>(depth);
-  report_shape(state, stuffed);
-}
-BENCHMARK(BM_PeelSpeculative)
-    ->Args({1024, 8, 8, 0})
-    ->Args({1024, 8, 8, 2})
-    ->Args({1024, 8, 8, 4})
-    ->Args({1024, 8, 1, 4});
+// Args are {N, permille}.  At these shapes the schedule has thousands of
+// rounds, each an O(N) coefficient scan plus N index subtractions and a
+// matching repair.
 
 void BM_PeelSequential(benchmark::State& state) {
   const Matrix stuffed = stuff(swept_input(state, 4));
@@ -165,62 +112,6 @@ void BM_PeelSequential(benchmark::State& state) {
   report_shape(state, stuffed);
 }
 BENCHMARK(BM_PeelSequential)->Args({512, 16})->Args({1024, 8});
-
-// ---- SIMD kernel layer: dispatched tier vs scalar reference --------------
-//
-// Args are {N, tier} with tier 0 = forced scalar, 1 = active dispatch
-// (CPUID x RECO_SIMD).  The loop body is the peel/matching hot pattern the
-// kernels replace: per-row mirror re-gather + max scan over a stuffed
-// index, and the quickselect pool partition.  The /1024/1-vs-/1024/0 ratio
-// is the isolated kernel-layer win (simd_row_speedup_1024); CI guards the
-// dispatched rows against the committed baseline.
-
-void BM_SimdRowKernels(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const simd::Kernels& kn = state.range(1) != 0
-                                ? simd::kernels()
-                                : simd::kernels_for(simd::Level::kScalar);
-  const SupportIndex idx(stuff(sparse_random(n, 0.05, 6)));
-  std::vector<double> buf(static_cast<std::size_t>(n));
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (int i = 0; i < n; ++i) {
-      const auto cols = idx.row_support(i);
-      kn.gather(idx.matrix().row_data(i), cols.begin(), cols.size(), buf.data());
-      acc = kn.max_value(buf.data(), cols.size(), acc);
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.counters["simd_level"] = static_cast<double>(simd::active_level());
-  report_shape(state, idx.matrix());
-}
-BENCHMARK(BM_SimdRowKernels)->Args({1024, 0})->Args({1024, 1});
-
-void BM_SimdPartition(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const simd::Kernels& kn = state.range(1) != 0
-                                ? simd::kernels()
-                                : simd::kernels_for(simd::Level::kScalar);
-  // The bottleneck-descent value pool: ~8 distinct values per port, halved
-  // around the running pivot until one remains — the quickselect ladder.
-  Rng rng(17);
-  std::vector<double> pool(static_cast<std::size_t>(n) * 8);
-  for (double& v : pool) v = rng.uniform(0.5, 10.0);
-  std::vector<double> work(pool.size());
-  for (auto _ : state) {
-    work = pool;
-    int m = static_cast<int>(work.size());
-    while (m > 1) {
-      const double pivot = work[static_cast<std::size_t>(m) / 2];
-      const int kept = kn.partition_greater(work.data(), m, pivot);
-      m = kept > 0 ? kept : m / 2;  // degenerate pivot: shrink anyway
-    }
-    benchmark::DoNotOptimize(work[0]);
-  }
-  state.counters["simd_level"] = static_cast<double>(simd::active_level());
-  state.counters["N"] = static_cast<double>(n);
-}
-BENCHMARK(BM_SimdPartition)->Args({1024, 0})->Args({1024, 1});
 
 // ---- whole-planner cost vs fabric width (ex-bench_scalability) -----------
 
@@ -291,35 +182,8 @@ void BM_MillionCoflowSoak(benchmark::State& state) {
 BENCHMARK(BM_MillionCoflowSoak)->Iterations(1)->Repetitions(1);
 #endif  // RECO_BENCH_SOAK
 
-// ---- baseline derived metrics --------------------------------------------
-
-/// Headline: sequential-vs-lazy-key peel ratio at equal shape and one
-/// thread (pure algorithmic win, no parallelism credit).  Zero-valued
-/// inputs yield non-finite ratios, which the harness drops.
-std::vector<std::pair<std::string, double>> derived_metrics(
-    const std::vector<bench::gbench::Row>& rows) {
-  using bench::gbench::row_ns;
-  return {
-      {"peel_speedup_512",
-       row_ns(rows, "BM_PeelSequential/512/16") / row_ns(rows, "BM_PeelParallel/512/16/1")},
-      {"peel_speedup_1024",
-       row_ns(rows, "BM_PeelSequential/1024/8") / row_ns(rows, "BM_PeelParallel/1024/8/1")},
-      // Lookahead win in isolation: same threads, depth 4 vs depth 0.
-      {"spec_speedup_1024", row_ns(rows, "BM_PeelSpeculative/1024/8/8/0") /
-                                row_ns(rows, "BM_PeelSpeculative/1024/8/8/4")},
-      // Kernel-layer win in isolation: dispatched tier vs forced scalar.
-      {"simd_row_speedup_1024",
-       row_ns(rows, "BM_SimdRowKernels/1024/0") / row_ns(rows, "BM_SimdRowKernels/1024/1")},
-      {"simd_partition_speedup_1024",
-       row_ns(rows, "BM_SimdPartition/1024/0") / row_ns(rows, "BM_SimdPartition/1024/1")},
-  };
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // "threads" and "depth" feed the perf guard's oversubscription skip;
-  // "cores" is appended by the harness itself.
-  return reco::bench::gbench::run_main(argc, argv, {"nnz", "N", "threads", "depth"},
-                                       derived_metrics);
+  return reco::bench::gbench::run_main(argc, argv, {"nnz", "N"});
 }

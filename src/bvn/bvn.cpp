@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "bvn/parallel_peel.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "matching/incremental_matcher.hpp"
 #include "matching/matching_engine.hpp"
@@ -114,13 +113,13 @@ CircuitSchedule peel(SupportIndex m, double initial_threshold, bool halve_on_fai
   return schedule;
 }
 
-CircuitSchedule peel_exact_bottleneck(SupportIndex m, MatchingScratch& scratch) {
+CircuitSchedule peel_exact_bottleneck(SupportIndex m) {
   CircuitSchedule schedule;
   obs::ScopedSpan span("bvn.peel_exact_bottleneck", "bvn");
   // One scratch for the whole peel: each round re-enters the ladder search
   // warm-seeded with the previous round's matching (only the subtracted
-  // entries can fall out), and steady-state rounds allocate nothing.  A
-  // caller-owned scratch extends the warm start across decompose calls.
+  // entries can fall out), and steady-state rounds allocate nothing.
+  MatchingScratch scratch;
   const int n = m.n();
   while (m.nnz() > 0) {
     const bool obs_on = obs::enabled();
@@ -189,7 +188,7 @@ CircuitSchedule cover_decompose(Matrix m) {
   return cover_decompose(SupportIndex(std::move(m)));
 }
 
-CircuitSchedule bvn_decompose(SupportIndex m, BvnPolicy policy, MatchingScratch& scratch) {
+CircuitSchedule bvn_decompose(SupportIndex m, BvnPolicy policy) {
   obs::ScopedSpan span("bvn.decompose", "bvn");
   span.arg("n", static_cast<double>(m.n()));
   span.arg("nnz", static_cast<double>(m.nnz()));
@@ -212,16 +211,9 @@ CircuitSchedule bvn_decompose(SupportIndex m, BvnPolicy policy, MatchingScratch&
       return peel(std::move(m), start, /*halve_on_failure=*/true);
     }
     case BvnPolicy::kExactBottleneck:
-      return peel_exact_bottleneck(std::move(m), scratch);
-    case BvnPolicy::kParallelPeel:
-      return peel_parallel(std::move(m));
+      return peel_exact_bottleneck(std::move(m));
   }
   throw std::logic_error("bvn_decompose: unknown policy");
-}
-
-CircuitSchedule bvn_decompose(SupportIndex m, BvnPolicy policy) {
-  MatchingScratch scratch;
-  return bvn_decompose(std::move(m), policy, scratch);
 }
 
 CircuitSchedule bvn_decompose(Matrix m, BvnPolicy policy) {

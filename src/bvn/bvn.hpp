@@ -1,7 +1,8 @@
 // Birkhoff-von-Neumann decomposition of a doubly stochastic matrix into
 // permutation matrices with coefficients — equivalently, into a circuit
 // scheduling (each permutation is a circuit establishment, its coefficient
-// the planned duration).  Three extraction policies:
+// the planned duration).  Three extraction policies, all one sequential
+// peel over a SupportIndex:
 //
 //  * kFirstMatching   — classic Birkhoff peeling: any perfect matching on
 //                       the nonzero support, coefficient = its min entry.
@@ -13,21 +14,23 @@
 //                       amortized near-linear cost.  This is the "max-min
 //                       matching similar to [7]" of Alg. 1, and the policy
 //                       Reco-Sin uses by default.
-//  * kExactBottleneck — true max-min matching each round (binary search +
-//                       Hopcroft-Karp); exact but a log-factor slower.
-//                       Used by tests and ablations.
-//  * kParallelPeel    — kFirstMatching semantics at N >= 1024 scale:
-//                       lazy-key round discovery (heap-driven, O(nnz log N)
-//                       instead of O(N) per round) plus thread-pool
-//                       materialization of the schedule in fixed round
-//                       chunks.  Deterministic at every thread count; see
-//                       bvn/parallel_peel.hpp.
+//  * kExactBottleneck — true max-min matching each round (the amortized
+//                       bottleneck engine in matching/matching_engine.hpp,
+//                       one warm-started scratch for the whole peel).
+//                       Fewer, longer assignments than kMaxMinAmortized
+//                       but slower at 150 ports: as Reco-Sin's policy on
+//                       perfbench's sin-paper workload (526 coflows, 4-core
+//                       x86-64) it cut reconfigurations per coflow from
+//                       207.07 to 120.53 and weighted CCT over the lower
+//                       bound from 1.056 to 1.031, but ran 2.6x slower
+//                       (11.7 against ~31 coflows/s).  Change Reco-Sin's
+//                       default only with an end-to-end benchmark run
+//                       that shows the trade is worth it.
 #pragma once
 
 #include "core/circuit.hpp"
 #include "core/matrix.hpp"
 #include "core/support_index.hpp"
-#include "matching/matching_engine.hpp"
 
 namespace reco {
 
@@ -35,7 +38,6 @@ enum class BvnPolicy {
   kFirstMatching,
   kMaxMinAmortized,
   kExactBottleneck,
-  kParallelPeel,
 };
 
 /// Decompose `m` (must be doubly stochastic; throws otherwise) into a
@@ -50,13 +52,6 @@ CircuitSchedule bvn_decompose(Matrix m, BvnPolicy policy);
 /// support: O(nnz * sqrt(N)) for the initial matching plus O(degree) per
 /// repaired edge per round, versus O(rounds * N^2) for a dense rescan.
 CircuitSchedule bvn_decompose(SupportIndex m, BvnPolicy policy);
-
-/// Caller-owned-scratch variant: kExactBottleneck threads `scratch` through
-/// every peel round, so a long-lived scratch warm-starts across *calls* too
-/// (the online replan core decomposes once per epoch and reuses one arena).
-/// The other policies carry their own incremental matcher state and ignore
-/// the scratch.
-CircuitSchedule bvn_decompose(SupportIndex m, BvnPolicy policy, MatchingScratch& scratch);
 
 /// Cover an arbitrary non-negative matrix with matchings: each round takes
 /// a maximum matching on the nonzero support and holds it for the largest

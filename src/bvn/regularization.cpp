@@ -2,9 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
-#include "core/simd.hpp"
 #include "obs/obs.hpp"
 
 namespace reco {
@@ -35,17 +33,15 @@ SupportIndex regularize(const SupportIndex& demand, Time quantum) {
   obs::ScopedSpan span("bvn.regularize", "bvn");
   SupportIndex out = SupportIndex::zeros(demand.n());
   Time padding = 0.0;  // published once below; Theorem 2 bounds it by delta*nnz
-  std::vector<double> rounded;  // per-row scratch for the vectorized rounding map
   for (int i = 0; i < demand.n(); ++i) {
     const auto cols = demand.row_support(i);
     const auto vals = demand.row_values(i);
-    rounded.resize(static_cast<std::size_t>(cols.size()));
-    // Element-wise div/ceil/max/mul — vectorizable bit-identically; the
-    // padding accumulation below stays an ordered scalar sum.
-    simd::kernels().round_up_quantum(vals.begin(), cols.size(), quantum, rounded.data());
     for (int k = 0; k < cols.size(); ++k) {
-      padding += rounded[static_cast<std::size_t>(k)] - vals[k];
-      out.set(i, cols[k], rounded[static_cast<std::size_t>(k)]);
+      const int j = cols[k];
+      const double d = vals[k];
+      const double rounded = round_up_to_quantum(d, quantum);
+      padding += rounded - d;
+      out.set(i, j, rounded);
     }
   }
   if (obs::enabled()) {

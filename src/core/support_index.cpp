@@ -213,21 +213,32 @@ int SupportIndex::tau() const {
   return t;
 }
 
+void SupportIndex::refresh_row_values(int i) const {
+  const Block& b = row_blk_[i];
+  const double* row = m_.row_data(i);
+  const int* cols = row_cols_.data() + b.off;
+  double* vals = row_vals_.data() + b.off;
+  for (int k = 0; k < b.len; ++k) vals[k] = row[cols[k]];
+  row_dirty_[i] = 0;
+}
+
 // max_entry and row_sum_exact read the clean-row fast path from the value
 // arena and fall back to a dense gather on dirty rows WITHOUT refreshing:
 // they stay non-mutating, so const concurrent readers of distinct rows
 // (the simulator's satisfaction probes) never race on the mirror.
 
 double SupportIndex::max_entry() const {
-  const simd::Kernels& kn = simd::kernels();
   double m = 0.0;
   const int n = m_.n();
   for (int i = 0; i < n; ++i) {
     const Block& b = row_blk_[i];
     if (row_dirty_[i]) {
-      m = kn.max_gather(m_.row_data(i), row_cols_.data() + b.off, b.len, m);
+      const double* row = m_.row_data(i);
+      const int* cols = row_cols_.data() + b.off;
+      for (int k = 0; k < b.len; ++k) m = std::max(m, row[cols[k]]);
     } else {
-      m = kn.max_value(row_vals_.data() + b.off, b.len, m);
+      const double* vals = row_vals_.data() + b.off;
+      for (int k = 0; k < b.len; ++k) m = std::max(m, vals[k]);
     }
   }
   return m;

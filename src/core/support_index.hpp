@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "core/matrix.hpp"
-#include "core/simd.hpp"
 #include "core/types.hpp"
 
 namespace reco {
@@ -185,14 +184,7 @@ class SupportIndex {
   /// Values parallel to row_support(i): element k is at(i, support[k]).
   ValueSpan row_values(int i) const {
     const Block& b = row_blk_[i];
-    if (row_dirty_[i]) {
-      // Mirror re-gather from the dense row — the hottest gather in the
-      // peel loop, dispatched through the SIMD kernel layer (bit-identical
-      // to the scalar loop at every tier).
-      simd::kernels().gather(m_.row_data(i), row_cols_.data() + b.off, b.len,
-                             row_vals_.data() + b.off);
-      row_dirty_[i] = 0;
-    }
+    if (row_dirty_[i]) refresh_row_values(i);
     return {row_vals_.data() + b.off, b.len};
   }
   /// Rows i with m(i, j) != 0, ascending.
@@ -233,6 +225,11 @@ class SupportIndex {
 
   /// Rebuild both arenas from the dense matrix (ingest / assign / compact).
   void build_from_matrix();
+
+  /// Re-gather row i's value mirror from the dense row and mark it clean.
+  /// Out of line so the clean-row path of row_values() stays small where
+  /// it inlines into the matching and peel loops.
+  void refresh_row_values(int i) const;
 
   /// Drop dead space: rewrite an arena so blocks are tightly packed in
   /// line order.  Called when relocation garbage exceeds half the arena.

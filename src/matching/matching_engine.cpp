@@ -1,11 +1,9 @@
 #include "matching/matching_engine.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <functional>
 #include <limits>
 
-#include "core/simd.hpp"
 #include "obs/obs.hpp"
 
 namespace reco {
@@ -415,12 +413,7 @@ bool bottleneck_solve_impl(const Src& src, MatchingScratch& s) {
   if (!s.values.empty()) {
     const int n = src.n();
     const std::size_t nn = static_cast<std::size_t>(n);
-    // Pool scans below run through the SIMD kernel layer (min/max
-    // reductions and order-preserving compactions are exact, so every
-    // tier is bit-identical to the scalar loops they replace).
-    const simd::Kernels& kn = simd::kernels();
-    const double vmin =
-        kn.min_value(s.values.data(), static_cast<int>(s.values.size()), s.values[0]);
+    const double vmin = *std::min_element(s.values.begin(), s.values.end());
     build_csr(src, vmin, /*with_values=*/true, s);
     // A warm seed only carries over at the same dimension; a resize could
     // leave match_right referencing truncated rows.
@@ -464,18 +457,30 @@ bool bottleneck_solve_impl(const Src& src, MatchingScratch& s) {
       // feasible probe; values[0..m) holds every still-plausible
       // candidate, each strictly above lo_val.
       double lo_val = vmin;
-      std::size_t m = static_cast<std::size_t>(
-          kn.partition_greater(s.values.data(), static_cast<int>(s.values.size()), vmin));
+      std::size_t m = 0;
+      for (std::size_t r = 0; r < s.values.size(); ++r) {
+        const double v = s.values[r];
+        if (v > vmin) s.values[m++] = v;
+      }
       // Discard after a failed probe at `t` with Hall bound `b`:
       // candidates >= t fail by monotonicity (not counted as pruned);
       // candidates in (b, t) fail by the certificate alone.
       const auto discard_infeasible = [&](double t, double b) {
-        std::int64_t certified = 0;
-        m = static_cast<std::size_t>(kn.partition_keep_below(
-            s.values.data(), static_cast<int>(m), t, b, &certified));
+        std::size_t w = 0;
+        std::uint64_t certified = 0;
+        for (std::size_t r = 0; r < m; ++r) {
+          const double v = s.values[r];
+          if (v >= t) continue;
+          if (v > b) {
+            ++certified;
+            continue;
+          }
+          s.values[w++] = v;
+        }
+        m = w;
         if (certified > 0) {
           ++s.stats.hall_prunes;
-          s.stats.probes_pruned += static_cast<std::uint64_t>(certified);
+          s.stats.probes_pruned += certified;
         }
       };
 
@@ -487,20 +492,27 @@ bool bottleneck_solve_impl(const Src& src, MatchingScratch& s) {
       if (m > 0 && s.has_hint && s.hint > lo_val) {
         const double h = s.hint;
         if (probe(h)) {
-          // Largest discarded candidate becomes the proven-feasible floor;
-          // the compaction keeps everything strictly above the hint.
-          lo_val = kn.max_value_leq(s.values.data(), static_cast<int>(m), h, lo_val);
-          m = static_cast<std::size_t>(
-              kn.partition_greater(s.values.data(), static_cast<int>(m), h));
+          std::size_t w = 0;
+          for (std::size_t r = 0; r < m; ++r) {
+            const double v = s.values[r];
+            if (v > h) {
+              s.values[w++] = v;
+            } else if (v > lo_val) {
+              lo_val = v;
+            }
+          }
+          m = w;
           if (m > 0) {
             // Confirm optimality by probing the successor value: if the
             // smallest remaining candidate fails, every candidate fails.
-            const double succ =
-                kn.min_value(s.values.data(), static_cast<int>(m), s.values[0]);
+            const double succ = *std::min_element(s.values.begin(), s.values.begin() + m);
             if (probe(succ)) {
               lo_val = succ;
-              m = static_cast<std::size_t>(
-                  kn.partition_greater(s.values.data(), static_cast<int>(m), succ));
+              w = 0;
+              for (std::size_t r = 0; r < m; ++r) {
+                if (s.values[r] > succ) s.values[w++] = s.values[r];
+              }
+              m = w;
             } else {
               m = 0;
             }
@@ -519,8 +531,11 @@ bool bottleneck_solve_impl(const Src& src, MatchingScratch& s) {
         const double pivot = s.values[m / 2];
         if (probe(pivot)) {
           lo_val = pivot;
-          m = static_cast<std::size_t>(
-              kn.partition_greater(s.values.data(), static_cast<int>(m), pivot));
+          std::size_t w = 0;
+          for (std::size_t r = 0; r < m; ++r) {
+            if (s.values[r] > pivot) s.values[w++] = s.values[r];
+          }
+          m = w;
         } else {
           discard_infeasible(pivot, hall_prune(s, pivot));
         }

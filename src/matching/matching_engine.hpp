@@ -35,7 +35,8 @@
 //     faster when the caller mutated little.
 //
 // Determinism contract: results are bit-identical to the reference
-// algorithm (dense_reference::bottleneck_perfect_matching_reference).
+// algorithm (dense_reference::bottleneck_perfect_matching_reference, in
+// the test-only tests/oracles library).
 // Probes only answer feasibility — the maximum-matching *size* at a
 // threshold is algorithm-independent — so warm starts cannot change which
 // ladder value wins; the returned matching is then produced by one

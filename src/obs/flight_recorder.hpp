@@ -12,9 +12,9 @@
 // Arming: `arm(path)` names a JSONL file; `trigger(reason)` then writes
 // the entire ring (newest dump wins — the file always holds the most
 // recent incident, bounded by the ring capacity).  Trigger sites in the
-// tree: RecoveringController on a mid-schedule replan, parallel_peel on a
-// peel abort, and reco_serve on abnormal exit.  Unarmed triggers are
-// counted but write nothing.
+// tree: RecoveringController on a mid-schedule replan, the campaign
+// runner on an anomaly replay, and reco_serve on exit.  Unarmed triggers
+// are counted but write nothing.
 #pragma once
 
 #include <atomic>

@@ -6,7 +6,7 @@
 // replan.  OnlineCore instead keeps one long-lived *slot* per live coflow
 // holding its sparse residual (`SupportIndex`), recycles slots through a
 // free list as coflows finish, and threads caller-owned scratch
-// (PacketScratch / RecoMulScratch / OrderingScratch / MatchingScratch)
+// (PacketScratch / RecoMulScratch / OrderingScratch)
 // through every pipeline stage.  After warm-up, a replan touches only
 // pre-sized buffers: the `alloc_events` counter (same accounting idiom as
 // `matching.engine`) stays flat across a 100k-coflow arrival stream.
@@ -28,7 +28,6 @@
 #include "core/snapshot.hpp"
 #include "core/support_index.hpp"
 #include "core/types.hpp"
-#include "matching/matching_engine.hpp"
 #include "sched/online_policy.hpp"
 #include "sched/ordering.hpp"
 #include "sched/packet_scheduler.hpp"
@@ -218,7 +217,6 @@ class OnlineCore {
   OrderingScratch ordering_scratch_;
   PacketScratch packet_scratch_;
   RecoMulScratch mul_scratch_;
-  MatchingScratch matching_scratch_;  ///< FIFO path's warm-started BvN peel
   std::vector<Time> kept_starts_;     ///< batch counting among kept slices
   std::vector<char> finished_flags_;  ///< single-pass live-list compaction
   SliceSchedule step_slices_;         ///< FIFO per-step executor output

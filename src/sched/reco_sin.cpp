@@ -9,8 +9,7 @@
 
 namespace reco {
 
-CircuitSchedule reco_sin(const Matrix& demand, Time delta, BvnPolicy policy,
-                         MatchingScratch* scratch) {
+CircuitSchedule reco_sin(const Matrix& demand, Time delta, BvnPolicy policy) {
   // One O(N^2) ingest of the dense input; from here on every stage —
   // regularize, stuff, BvN peel — works the support index, so the
   // pipeline's cost tracks nnz(D) rather than N^2 per peeling round.
@@ -21,7 +20,6 @@ CircuitSchedule reco_sin(const Matrix& demand, Time delta, BvnPolicy policy,
   span.arg("nnz", static_cast<double>(indexed.nnz()));
   if (obs::enabled()) obs::metrics().counter("sched.reco_sin.calls").inc();
   SupportIndex stuffed = stuff_granular(regularize(indexed, delta), delta);
-  if (scratch != nullptr) return bvn_decompose(std::move(stuffed), policy, *scratch);
   return bvn_decompose(std::move(stuffed), policy);
 }
 

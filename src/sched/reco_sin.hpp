@@ -19,12 +19,9 @@
 
 namespace reco {
 
-/// Build the Reco-Sin circuit scheduling for one coflow.  A non-null
-/// `scratch` is threaded into the BvN peel (kExactBottleneck warm-starts
-/// across calls); the other policies ignore it.
+/// Build the Reco-Sin circuit scheduling for one coflow.
 CircuitSchedule reco_sin(const Matrix& demand, Time delta,
-                         BvnPolicy policy = BvnPolicy::kMaxMinAmortized,
-                         MatchingScratch* scratch = nullptr);
+                         BvnPolicy policy = BvnPolicy::kMaxMinAmortized);
 
 /// Recovery planning: re-plan `residual` on the surviving ports only.
 /// Demand on a failed ingress row / egress column is masked out (it is

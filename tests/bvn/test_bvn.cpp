@@ -15,14 +15,12 @@ class BvnPolicyTest : public ::testing::TestWithParam<BvnPolicy> {};
 INSTANTIATE_TEST_SUITE_P(AllPolicies, BvnPolicyTest,
                          ::testing::Values(BvnPolicy::kFirstMatching,
                                            BvnPolicy::kMaxMinAmortized,
-                                           BvnPolicy::kExactBottleneck,
-                                           BvnPolicy::kParallelPeel),
+                                           BvnPolicy::kExactBottleneck),
                          [](const auto& info) {
                            switch (info.param) {
                              case BvnPolicy::kFirstMatching: return "FirstMatching";
                              case BvnPolicy::kMaxMinAmortized: return "MaxMinAmortized";
                              case BvnPolicy::kExactBottleneck: return "ExactBottleneck";
-                             case BvnPolicy::kParallelPeel: return "ParallelPeel";
                            }
                            return "Unknown";
                          });

@@ -1,4 +1,4 @@
-#include "bvn/dense_reference.hpp"
+#include "oracles/dense_reference.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -319,10 +319,6 @@ CircuitSchedule bvn_decompose(Matrix m, BvnPolicy policy) {
     }
     case BvnPolicy::kExactBottleneck:
       return peel_exact_bottleneck(std::move(m));
-    case BvnPolicy::kParallelPeel:
-      // The dense reference has no lazy-key twin; first-matching peeling is
-      // the semantic oracle for the parallel peel's reconstruction tests.
-      return peel(std::move(m), kSupportThreshold, /*halve_on_failure=*/false);
   }
   throw std::logic_error("dense_reference::bvn_decompose: unknown policy");
 }

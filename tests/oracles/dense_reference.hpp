@@ -1,7 +1,8 @@
 // Retained dense (pre-sparse-index) implementations of the decomposition
 // stack, frozen at their original O(N^2)-per-round form.
 //
-// Two consumers, neither on a production path:
+// Built as the test-only `reco_test_oracles` library (tests/CMakeLists.txt),
+// never linked into the shipped libraries.  Two consumers:
 //   * the dense-vs-sparse equivalence property test
 //     (tests/property/test_sparse_equivalence.cpp) asserts that the
 //     SupportIndex-based kernels produce identical CircuitSchedules to

@@ -13,11 +13,11 @@
 #include <string>
 
 #include "bvn/bvn.hpp"
-#include "bvn/dense_reference.hpp"
 #include "bvn/stuffing.hpp"
 #include "core/support_index.hpp"
 #include "matching/bottleneck.hpp"
 #include "matching/matching_engine.hpp"
+#include "oracles/dense_reference.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
 

@@ -13,10 +13,10 @@
 #include <vector>
 
 #include "bvn/bvn.hpp"
-#include "bvn/dense_reference.hpp"
 #include "bvn/regularization.hpp"
 #include "bvn/stuffing.hpp"
 #include "core/support_index.hpp"
+#include "oracles/dense_reference.hpp"
 #include "runtime/parallel.hpp"
 #include "sched/reco_sin.hpp"
 #include "sched/solstice.hpp"
@@ -48,11 +48,6 @@ const char* policy_name(BvnPolicy p) {
     case BvnPolicy::kFirstMatching: return "first";
     case BvnPolicy::kMaxMinAmortized: return "maxmin";
     case BvnPolicy::kExactBottleneck: return "bottleneck";
-    // Not in kAllPolicies: the lazy-key peel orders its subtractions
-    // differently from the dense eager peel, so bit-equivalence against
-    // dense_reference does not hold (test_scale_equivalence pins its
-    // determinism and reconstruction instead).
-    case BvnPolicy::kParallelPeel: return "parallel";
   }
   return "?";
 }

@@ -181,7 +181,9 @@ TEST_P(OnlinePolicyTest, BoundaryArrivalAdmittedWithNonNegativeCct) {
     EXPECT_TRUE(is_port_feasible(r.schedule)) << "nudge " << nudge;
     // No slice of B may start before it arrived.
     for (const FlowSlice& s : r.schedule) {
-      if (s.coflow == 1) EXPECT_GE(s.start, b.arrival - 1e-9) << "nudge " << nudge;
+      if (s.coflow == 1) {
+        EXPECT_GE(s.start, b.arrival - 1e-9) << "nudge " << nudge;
+      }
     }
   }
 }
