@@ -25,8 +25,6 @@
 #include "bvn/regularization.hpp"
 #include "bvn/stuffing.hpp"
 #include "core/support_index.hpp"
-#include "matching/bottleneck.hpp"
-#include "matching/hopcroft_karp.hpp"
 #include "matching/matching_engine.hpp"
 #include "obs/obs.hpp"
 #include "ocs/all_stop_executor.hpp"
@@ -93,30 +91,46 @@ void report_shape(benchmark::State& state, const Matrix& m) {
 
 // ---- threshold matching (Hopcroft–Karp over the support) -----------------
 
+/// One cold maximum matching at `threshold` per iteration: CSR build plus
+/// hk_augment_csr, with the scratch and match arrays held across calls.
+template <class Src>
+void threshold_matching_loop(benchmark::State& state, const Src& src, double threshold) {
+  MatchingScratch scratch;
+  std::vector<int> ml;
+  std::vector<int> mr;
+  for (auto _ : state) {
+    build_csr(src, threshold, /*with_values=*/false, scratch);
+    ml.assign(src.n(), -1);
+    mr.assign(src.n(), -1);
+    benchmark::DoNotOptimize(hk_augment_csr(scratch, ml, mr, 0.0, /*check_value=*/false));
+  }
+}
+
 void BM_ThresholdMatchingDense(benchmark::State& state) {
   const Matrix m = swept_input(state, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(threshold_matching(m, 0.5).size);
-  }
+  threshold_matching_loop(state, m, 0.5);
   report_shape(state, m);
 }
 BENCHMARK(BM_ThresholdMatchingDense)->Apply(DensitySweep);
 
 void BM_ThresholdMatchingSparse(benchmark::State& state) {
   const SupportIndex idx(swept_input(state, 1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(threshold_matching(idx, 0.5).size);
-  }
+  threshold_matching_loop(state, idx, 0.5);
   report_shape(state, idx.matrix());
 }
 BENCHMARK(BM_ThresholdMatchingSparse)->Apply(DensitySweep);
 
 // ---- exact bottleneck matching -------------------------------------------
+//
+// One scratch per row, held across iterations: every solve after the first
+// warm-starts from the previous matching.
 
 void BM_BottleneckMatchingDense(benchmark::State& state) {
   const Matrix m = stuff(swept_input(state, 2));
+  MatchingScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bottleneck_perfect_matching(m)->bottleneck);
+    bottleneck_solve(m, scratch);
+    benchmark::DoNotOptimize(scratch.bottleneck);
   }
   report_shape(state, m);
 }
@@ -124,8 +138,10 @@ BENCHMARK(BM_BottleneckMatchingDense)->Apply(DensitySweep);
 
 void BM_BottleneckMatchingSparse(benchmark::State& state) {
   const SupportIndex idx(stuff(swept_input(state, 2)));
+  MatchingScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bottleneck_perfect_matching(idx)->bottleneck);
+    bottleneck_solve(idx, scratch);
+    benchmark::DoNotOptimize(scratch.bottleneck);
   }
   report_shape(state, idx.matrix());
 }

@@ -23,12 +23,12 @@
 // min time x 3 repetitions, median recorded).
 #define RECO_BENCH_WITH_GBENCH
 #include <cstdint>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "bvn/bvn.hpp"
 #include "bvn/stuffing.hpp"
 #include "core/support_index.hpp"
-#include "matching/hopcroft_karp.hpp"
 #include "matching/matching_engine.hpp"
 #include "sched/reco_sin.hpp"
 #include "sched/solstice.hpp"
@@ -76,8 +76,14 @@ void ScaleSweep(benchmark::internal::Benchmark* b) {
 
 void BM_ThresholdMatchingSparse(benchmark::State& state) {
   const SupportIndex idx(swept_input(state, 1));
+  MatchingScratch scratch;
+  std::vector<int> ml;
+  std::vector<int> mr;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(threshold_matching(idx, 0.5).size);
+    build_csr(idx, 0.5, /*with_values=*/false, scratch);
+    ml.assign(idx.n(), -1);
+    mr.assign(idx.n(), -1);
+    benchmark::DoNotOptimize(hk_augment_csr(scratch, ml, mr, 0.0, /*check_value=*/false));
   }
   report_shape(state, idx.matrix());
 }

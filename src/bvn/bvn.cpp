@@ -4,10 +4,11 @@
 #include <limits>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
-#include "matching/hopcroft_karp.hpp"
 #include "matching/incremental_matcher.hpp"
 #include "matching/matching_engine.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/obs.hpp"
 
 namespace reco {
@@ -22,6 +23,7 @@ struct PeelMetrics {
   obs::Counter& permutations = obs::metrics().counter("bvn.permutations");
   obs::Counter& halvings = obs::metrics().counter("bvn.threshold_halvings");
   obs::Counter& coeff_total = obs::metrics().counter("bvn.coefficient_total");
+  obs::Counter& cover_fallbacks = obs::metrics().counter("bvn.cover_fallbacks");
   obs::Histogram& round_nnz =
       obs::metrics().histogram("bvn.round_nnz", obs::pow2_buckets(65536.0));
   obs::Histogram& coefficient =
@@ -51,6 +53,22 @@ struct PeelMetrics {
 
 /// Support-only threshold: any positive entry counts as an edge.
 constexpr double kSupportThreshold = 2 * kTimeEps;
+
+/// Round-off escape hatch shared by both peels.  Exact Birkhoff structure
+/// guarantees a perfect matching on the support, but after thousands of
+/// floating-point subtractions the row/column sums drift apart by
+/// round-off and the guarantee breaks for the last tolerance-scale crumbs.
+/// Cover them instead of looping.  With telemetry on, each fallback is
+/// counted and recorded in the flight recorder (no dump: it can be
+/// routine).
+void cover_tail(SupportIndex m, CircuitSchedule& schedule) {
+  if (obs::enabled()) {
+    PeelMetrics::get().cover_fallbacks.inc();
+    obs::flight_recorder().record("bvn_cover_fallback", 0.0, m.nnz(), m.total());
+  }
+  const CircuitSchedule tail = cover_decompose(std::move(m));
+  for (const auto& a : tail.assignments) schedule.assignments.push_back(a);
+}
 
 /// Extract one assignment from the current matcher state: coefficient is
 /// the minimum entry along the perfect matching; subtract it everywhere.
@@ -99,12 +117,7 @@ CircuitSchedule peel(SupportIndex m, double initial_threshold, bool halve_on_fai
       PeelMetrics::get().halvings.inc();
     }
     if (!halve_on_failure || matcher.threshold() <= kSupportThreshold) {
-      // Exact Birkhoff structure guarantees a perfect matching on the
-      // support, but after thousands of floating-point subtractions the
-      // row/column sums drift apart by round-off and the guarantee breaks
-      // for the last tolerance-scale crumbs.  Cover them instead of looping.
-      const CircuitSchedule tail = cover_decompose(std::move(m));
-      for (const auto& a : tail.assignments) schedule.assignments.push_back(a);
+      cover_tail(std::move(m), schedule);
       break;
     }
     const double next = matcher.threshold() / 2.0;
@@ -127,9 +140,7 @@ CircuitSchedule peel_exact_bottleneck(SupportIndex m) {
     obs::Tracer::Clock::time_point round_start;
     if (obs_on) round_start = obs::Tracer::Clock::now();
     if (!bottleneck_solve(m, scratch)) {
-      // Same round-off escape hatch as peel(): see the comment there.
-      const CircuitSchedule tail = cover_decompose(std::move(m));
-      for (const auto& a : tail.assignments) schedule.assignments.push_back(a);
+      cover_tail(std::move(m), schedule);
       break;
     }
     CircuitAssignment a;
@@ -168,11 +179,19 @@ bool is_doubly_stochastic(const SupportIndex& m, double eps) {
 CircuitSchedule cover_decompose(SupportIndex m) {
   CircuitSchedule schedule;
   obs::ScopedSpan span("bvn.cover_decompose", "bvn");
+  // One scratch for every round; each round is a cold maximum matching on
+  // the current support.
+  MatchingScratch scratch;
+  std::vector<int> match_left;
+  std::vector<int> match_right;
   while (m.nnz() > 0) {
-    const MatchingResult match = threshold_matching(m, kSupportThreshold);
+    build_csr(m, kSupportThreshold, /*with_values=*/false, scratch);
+    match_left.assign(m.n(), -1);
+    match_right.assign(m.n(), -1);
+    hk_augment_csr(scratch, match_left, match_right, 0.0, /*check_value=*/false);
     CircuitAssignment a;
     for (int i = 0; i < m.n(); ++i) {
-      const int j = match.match_left[i];
+      const int j = match_left[i];
       if (j == -1) continue;
       a.duration = std::max(a.duration, m.at(i, j));
       a.circuits.push_back({i, j});

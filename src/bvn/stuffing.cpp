@@ -46,15 +46,13 @@ SupportIndex stuff(SupportIndex demand, Time target) {
   // the incremental sums may carry round-off from the caller's mutations.
   std::vector<Time> row_sums(n);
   std::vector<Time> col_sums(n);
+  out.col_sums_exact(col_sums);
   Time rho = 0.0;
   for (int i = 0; i < n; ++i) {
     row_sums[i] = out.row_sum_exact(i);
     rho = std::max(rho, row_sums[i]);
   }
-  for (int j = 0; j < n; ++j) {
-    col_sums[j] = out.col_sum_exact(j);
-    rho = std::max(rho, col_sums[j]);
-  }
+  for (int j = 0; j < n; ++j) rho = std::max(rho, col_sums[j]);
   const Time goal = std::max(rho, target);
   std::vector<Time> row_slack(n);
   std::vector<Time> col_slack(n);
@@ -98,8 +96,9 @@ SupportIndex stuff(SupportIndex demand, Time target) {
   std::vector<Time> col_need(n);
   bool any_col_need = false;
   Time repaired_slack = 0.0;
+  out.col_sums_exact(col_need);
   for (int j = 0; j < n; ++j) {
-    col_need[j] = goal - out.col_sum_exact(j);
+    col_need[j] = goal - col_need[j];
     any_col_need = any_col_need || col_need[j] > 0.0;
   }
   for (int i = 0; i < n; ++i) {
@@ -153,9 +152,12 @@ Matrix stuff(const Matrix& demand, Time target) {
 
 SupportIndex stuff_granular(SupportIndex demand, Time quantum) {
   if (quantum <= 0.0) throw std::invalid_argument("stuff_granular: quantum must be positive");
+  const int n = demand.n();
+  std::vector<Time> col_sums(n);
+  demand.col_sums_exact(col_sums);
   Time rho = 0.0;
-  for (int i = 0; i < demand.n(); ++i) rho = std::max(rho, demand.row_sum_exact(i));
-  for (int j = 0; j < demand.n(); ++j) rho = std::max(rho, demand.col_sum_exact(j));
+  for (int i = 0; i < n; ++i) rho = std::max(rho, demand.row_sum_exact(i));
+  for (int j = 0; j < n; ++j) rho = std::max(rho, col_sums[j]);
   const Time goal = std::max(1.0, std::ceil(rho / quantum - kTimeEps)) * quantum;
   return stuff(std::move(demand), goal);
 }

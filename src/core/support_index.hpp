@@ -7,25 +7,28 @@
 // costs O(N) or O(N^2) per query, which dominates once the matrix is
 // sparse — and the paper's Facebook-trace workload is overwhelmingly
 // sparse (Table I: 86% of coflows in the sparse class).  SupportIndex
-// keeps per-row and per-column adjacency plus incrementally maintained
+// keeps per-row adjacency, per-column counts and incrementally maintained
 // aggregates, so support queries are O(1)/O(degree) and the whole peeling
-// loop becomes proportional to nnz instead of N^2.
+// loop becomes proportional to nnz instead of N^2.  Every kernel reads the
+// demand row by row, so there is no column-side adjacency: the one column
+// question callers ask (exact column sums, all N at once) is a single
+// row-major pass.
 //
 // Layout (the N >= 1024 scaling work, DESIGN.md "Scaling to N >= 1024"):
-// adjacency lives in *blocked SoA arenas*, not per-line std::vectors.  One
-// flat column arena plus a parallel value arena hold every row's support
-// as a contiguous block {offset, size, capacity}; the column side keeps a
-// structure-only arena (no value mirror — no hot loop streams values in
-// column order).  An O(degree) iteration therefore streams two flat
-// arrays (indices and values side by side) instead of chasing a
-// heap-allocated vector per line and then striding the N-wide dense row
-// for each value — which is what kept the matching/peeling kernels
-// memory-bound at N >= 1024.  Blocks grow by relocation to the arena tail
-// (amortized O(1), compaction when garbage exceeds half the arena), so
-// iteration order and results are identical to the per-vector layout.
+// adjacency lives in a *blocked SoA arena*, not per-row std::vectors.  One
+// flat column-index arena plus a parallel value arena hold every row's
+// support as a contiguous block {offset, size, capacity}.  An O(degree)
+// iteration therefore streams two flat arrays (indices and values side by
+// side) instead of chasing a heap-allocated vector per row and then
+// striding the N-wide dense row for each value — which is what kept the
+// matching/peeling kernels memory-bound at N >= 1024.  Blocks grow by
+// relocation to the arena tail (amortized O(1), compaction when garbage
+// exceeds half the arena), so iteration order and results are identical
+// to the per-vector layout.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/matrix.hpp"
@@ -71,7 +74,7 @@ class ValueSpan {
 };
 
 /// Owns a dense Matrix and maintains, under `set`/`add` mutation:
-///   * row_support(i) / col_support(j) — sorted indices of nonzero entries;
+///   * row_support(i) — sorted column indices of row i's nonzero entries;
 ///   * row_values(i) — values parallel to row_support(i), streamed from
 ///     the SoA value arena (no dense-row gather);
 ///   * row_sum / col_sum / nnz / row_nnz / col_nnz — O(1) aggregates;
@@ -94,9 +97,10 @@ class ValueSpan {
 ///   * incremental row/col sums are updated by +=delta and therefore agree
 ///     with a from-scratch scan only up to float round-off; callers that
 ///     need scan-exact sums (stuffing's slack arithmetic) use
-///     `row_sum_exact` / `col_sum_exact`, an ordered O(degree) re-scan
-///     that matches Matrix::row_sum bit-for-bit because exact zeros
-///     contribute exactly nothing to an IEEE sum.
+///     `row_sum_exact` (an ordered O(degree) re-scan of one row) or
+///     `col_sums_exact` (one O(nnz) row-major pass filling every column),
+///     which match Matrix::row_sum / col_sum bit-for-bit because exact
+///     zeros contribute exactly nothing to an IEEE sum.
 class SupportIndex {
  public:
   SupportIndex() = default;
@@ -133,8 +137,8 @@ class SupportIndex {
   /// O(1) when the entry stays inside the support (dense write + a dirty
   /// mark; the value mirror refreshes lazily on the next row_values read),
   /// O(degree) when it enters or leaves (sorted insert/erase in the row
-  /// and column blocks).  Defined inline: this is the innermost write of
-  /// every peeling round.
+  /// block).  Defined inline: this is the innermost write of every
+  /// peeling round.
   void set(int i, int j, double v) {
     if (approx_zero(v)) v = 0.0;
     double& cell = m_.at(i, j);
@@ -158,7 +162,7 @@ class SupportIndex {
   // ---- O(1) aggregates -------------------------------------------------
   int nnz() const { return nnz_; }
   int row_nnz(int i) const { return row_blk_[i].len; }
-  int col_nnz(int j) const { return col_blk_[j].len; }
+  int col_nnz(int j) const { return col_nnz_[j]; }
   /// Incrementally maintained sums (scan-exact at build, then drifts by
   /// accumulated round-off — fine for tolerance-scale decisions).
   Time row_sum(int i) const { return row_sum_[i]; }
@@ -187,24 +191,23 @@ class SupportIndex {
     if (row_dirty_[i]) refresh_row_values(i);
     return {row_vals_.data() + b.off, b.len};
   }
-  /// Rows i with m(i, j) != 0, ascending.
-  SupportSpan col_support(int j) const {
-    const Block& b = col_blk_[j];
-    return {col_rows_.data() + b.off, b.len};
-  }
 
   /// Ordered O(degree) re-scan of row i over its support; bit-identical to
   /// Matrix::row_sum(i) because every skipped entry is exactly 0.0.
   Time row_sum_exact(int i) const;
-  Time col_sum_exact(int j) const;
+  /// Every exact column sum in one O(nnz) row-major pass: out[j] for
+  /// j < n().  Each column adds its entries in ascending row order, so
+  /// out[j] is bit-identical to Matrix::col_sum(j).  Non-mutating, like
+  /// row_sum_exact.
+  void col_sums_exact(std::span<Time> out) const;
 
   /// Total heap capacity currently held, in elements (dense storage plus
-  /// the adjacency/value arenas) — sampled by the online core's
+  /// the adjacency/value arena) — sampled by the online core's
   /// alloc-event accounting to prove recycled slots stop allocating at
   /// steady state.
   std::size_t capacity_footprint() const;
 
-  /// Reserve every adjacency block to full density (n entries), making the
+  /// Reserve every row block to full density (n entries), making the
   /// index's capacity independent of the shape of the matrix it currently
   /// holds.  A recycled slot whose index is dense-reserved can be re-seated
   /// with any n x n demand without allocating — without this, a long
@@ -223,7 +226,7 @@ class SupportIndex {
   /// Slow path of set(): entry (i, j) entered (`now`) or left the support.
   void update_support(int i, int j, bool now);
 
-  /// Rebuild both arenas from the dense matrix (ingest / assign / compact).
+  /// Rebuild the arena and counts from the dense matrix (ingest / assign).
   void build_from_matrix();
 
   /// Re-gather row i's value mirror from the dense row and mark it clean.
@@ -231,10 +234,9 @@ class SupportIndex {
   /// it inlines into the matching and peel loops.
   void refresh_row_values(int i) const;
 
-  /// Drop dead space: rewrite an arena so blocks are tightly packed in
-  /// line order.  Called when relocation garbage exceeds half the arena.
+  /// Drop dead space: rewrite the arena so blocks are tightly packed in
+  /// row order.  Called when relocation garbage exceeds half the arena.
   void compact_rows();
-  void compact_cols();
 
   Matrix m_;
   // Row-side blocked SoA: columns and values in lockstep.
@@ -249,19 +251,16 @@ class SupportIndex {
   /// Structural insert/erase keep the mirror aligned, so clean rows stay
   /// clean.  mutable: refresh happens under const readers — concurrent
   /// row_values() calls on the SAME index race; every current caller
-  /// reads one index from one thread (see ordering.cpp's parallel loops,
-  /// which are per-coflow).
+  /// reads one index from one thread.  The non-refreshing readers
+  /// (row_sum_exact, col_sums_exact, max_entry) stay safe to share.
   mutable std::vector<unsigned char> row_dirty_;
   int row_garbage_ = 0;  ///< dead elements left behind by block relocation
-  // Column side: structure only (no hot loop streams values by column).
-  std::vector<int> col_rows_;
-  std::vector<Block> col_blk_;
-  int col_garbage_ = 0;
+  std::vector<int> col_nnz_;  ///< nonzeros per column (tau needs the max)
   std::vector<Time> row_sum_;
   std::vector<Time> col_sum_;
   int nnz_ = 0;
   /// Once reserve_dense() has run, every (re)layout keeps cap == n per
-  /// block so the arenas never grow again (zero-alloc slot recycling).
+  /// block so the arena never grows again (zero-alloc slot recycling).
   bool dense_reserved_ = false;
 };
 

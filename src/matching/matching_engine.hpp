@@ -171,8 +171,8 @@ bool bottleneck_solve(const SupportIndex& idx, MatchingScratch& s);
 /// the current contents of `ml`/`mr` (pass arrays cleared to -1 for a
 /// cold start).  `check_value` gates the per-edge `csr_val >= threshold -
 /// kTimeEps` probe; pass false when the CSR was already built at the
-/// target threshold.  Returns the total matching size.  Exposed for the
-/// threshold-matching wrappers in hopcroft_karp.cpp; bottleneck callers
+/// target threshold.  Returns the total matching size.  With build_csr
+/// this is plain maximum matching (cover_decompose); bottleneck callers
 /// use bottleneck_solve.
 int hk_augment_csr(MatchingScratch& s, std::vector<int>& ml, std::vector<int>& mr,
                    double threshold, bool check_value);

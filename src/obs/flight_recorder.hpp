@@ -1,6 +1,6 @@
 // Fault flight recorder: a bounded ring of recent structured events —
 // admissions, plans, commits, cuts, recovery replans, port failures and
-// repairs, peel aborts — that is dumped as JSONL when something goes
+// repairs, BvN cover fallbacks — that is dumped as JSONL when something goes
 // wrong, so the postmortem sees the N events *leading up to* the anomaly
 // rather than only its aftermath.
 //

@@ -17,9 +17,8 @@
 #include "core/types.hpp"               // IWYU pragma: export
 #include "lp/model.hpp"                 // IWYU pragma: export
 #include "lp/simplex.hpp"               // IWYU pragma: export
-#include "matching/bottleneck.hpp"      // IWYU pragma: export
-#include "matching/hopcroft_karp.hpp"   // IWYU pragma: export
 #include "matching/hungarian.hpp"       // IWYU pragma: export
+#include "matching/matching_engine.hpp" // IWYU pragma: export
 #include "obs/metrics.hpp"              // IWYU pragma: export
 #include "obs/obs.hpp"                  // IWYU pragma: export
 #include "obs/trace.hpp"                // IWYU pragma: export

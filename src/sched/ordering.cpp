@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-
-#include "runtime/parallel.hpp"
+#include <span>
 
 namespace reco {
 
@@ -81,14 +80,13 @@ std::vector<int> bssi_order(const std::vector<Coflow>& coflows) {
 
   OrderingScratch scratch;
   scratch.load.assign(static_cast<std::size_t>(num_coflows) * num_ports, 0.0);
-  // Per-port loads over 2n ports (ingress 0..n-1, egress n..2n-1); each
-  // parallel worker writes only its own coflow's row.
-  runtime::parallel_for(num_coflows, [&](int k) {
+  // Per-port loads over 2n ports (ingress 0..n-1, egress n..2n-1).
+  for (int k = 0; k < num_coflows; ++k) {
     double* row = scratch.load.data() + static_cast<std::size_t>(k) * num_ports;
     const Matrix& d = coflows[k].demand;
     for (int i = 0; i < n; ++i) row[i] = d.row_sum(i);
     for (int j = 0; j < n; ++j) row[n + j] = d.col_sum(j);
-  });
+  }
   scratch.w.resize(num_coflows);
   for (int k = 0; k < num_coflows; ++k) scratch.w[k] = coflows[k].weight;
 
@@ -129,12 +127,15 @@ void order_residuals_into(const std::vector<const SupportIndex*>& residuals,
   if (policy == OrderingPolicy::kSebf) {
     // Exact-sum bottlenecks: bit-identical to Matrix::rho() because every
     // skipped entry is exactly 0.0 and contributes nothing to an IEEE sum.
+    // port_total doubles as the column-sum buffer here.
     scratch.key.resize(num_coflows);
     for (int k = 0; k < num_coflows; ++k) {
       const SupportIndex& r = *residuals[k];
+      scratch.port_total.resize(r.n());
+      r.col_sums_exact(scratch.port_total);
       Time rho = 0.0;
       for (int i = 0; i < r.n(); ++i) rho = std::max(rho, r.row_sum_exact(i));
-      for (int j = 0; j < r.n(); ++j) rho = std::max(rho, r.col_sum_exact(j));
+      for (int j = 0; j < r.n(); ++j) rho = std::max(rho, scratch.port_total[j]);
       scratch.key[k] = rho;
     }
     order.resize(num_coflows);
@@ -148,12 +149,12 @@ void order_residuals_into(const std::vector<const SupportIndex*>& residuals,
   const int n = residuals.front()->n();
   const int num_ports = 2 * n;
   scratch.load.assign(static_cast<std::size_t>(num_coflows) * num_ports, 0.0);
-  runtime::parallel_for(num_coflows, [&](int k) {
+  for (int k = 0; k < num_coflows; ++k) {
     double* row = scratch.load.data() + static_cast<std::size_t>(k) * num_ports;
     const SupportIndex& r = *residuals[k];
     for (int i = 0; i < n; ++i) row[i] = r.row_sum_exact(i);
-    for (int j = 0; j < n; ++j) row[n + j] = r.col_sum_exact(j);
-  });
+    r.col_sums_exact(std::span<Time>(row + n, n));
+  }
   scratch.w.assign(weights.begin(), weights.end());
   bssi_from_loads(num_coflows, num_ports, scratch, order);
 }

@@ -16,20 +16,7 @@ void place_coflow_flows(PacketScratch& scratch, CoflowId id, SliceSchedule& out)
   std::sort(scratch.flows.begin(), scratch.flows.end(),
             [](const PacketFlow& a, const PacketFlow& b) { return a.size > b.size; });
   for (const PacketFlow& f : scratch.flows) {
-    // Earliest slot free on *both* ports: alternate fixed-point between
-    // the two timelines (each step only moves the candidate forward, and
-    // it converges as soon as both agree).
-    Time t = 0.0;
-    while (true) {
-      const Time t_in = scratch.ingress[f.src].earliest_fit(t, f.size);
-      const Time t_both = scratch.egress[f.dst].earliest_fit(t_in, f.size);
-      if (t_both <= t_in + kTimeEps &&
-          scratch.ingress[f.src].earliest_fit(t_both, f.size) <= t_both + kTimeEps) {
-        t = t_both;
-        break;
-      }
-      t = t_both;
-    }
+    const Time t = earliest_common_fit(scratch.ingress[f.src], scratch.egress[f.dst], f.size);
     const Time end = t + f.size;
     out.push_back({t, end, f.src, f.dst, id});
     scratch.ingress[f.src].insert(t, end);

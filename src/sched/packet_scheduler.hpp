@@ -51,6 +51,22 @@ class PortTimeline {
   std::vector<std::pair<Time, Time>> busy_;
 };
 
+/// Earliest s >= 0 such that [s, s+d) is free on both `a` and `b` (a
+/// flow's ingress and egress port): alternate fixed-point between the two
+/// timelines — each step only moves the candidate forward, and it
+/// converges as soon as both agree.
+inline Time earliest_common_fit(const PortTimeline& a, const PortTimeline& b, Time d) {
+  Time t = 0.0;
+  while (true) {
+    const Time t_a = a.earliest_fit(t, d);
+    const Time t_both = b.earliest_fit(t_a, d);
+    if (t_both <= t_a + kTimeEps && a.earliest_fit(t_both, d) <= t_both + kTimeEps) {
+      return t_both;
+    }
+    t = t_both;
+  }
+}
+
 /// One flow awaiting placement (the per-coflow extraction buffer's element).
 struct PacketFlow {
   int src = 0;

@@ -26,8 +26,8 @@ TEST(Umbrella, EndToEndThroughTheUmbrellaOnly) {
   EXPECT_TRUE(run.satisfied);
   EXPECT_GE(run.cct, single_coflow_lower_bound(c.demand, g.delta) - 1e-9);   // core
 
-  const auto match = bottleneck_perfect_matching(stuff(c.demand));           // matching/bvn
-  EXPECT_TRUE(match.has_value());
+  MatchingScratch scratch;                                                   // matching/bvn
+  EXPECT_TRUE(bottleneck_solve(stuff(c.demand), scratch));
 
   lp::Model model;                                                           // lp
   const int x = model.add_var(1.0);

@@ -1,9 +1,12 @@
-#include "matching/bottleneck.hpp"
-
+// Exact max-min perfect matching (Alg. 1, Line 6) through the engine's
+// bottleneck_solve.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+
+#include "matching/matching_engine.hpp"
 
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
@@ -28,41 +31,48 @@ double brute_force_bottleneck(const Matrix& m) {
 
 TEST(Bottleneck, SimpleDiagonalWins) {
   const Matrix m = Matrix::from_rows({{5, 1}, {1, 5}});
-  const auto r = bottleneck_perfect_matching(m);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_DOUBLE_EQ(r->bottleneck, 5.0);
-  EXPECT_EQ(r->pairs[0].second, 0);
-  EXPECT_EQ(r->pairs[1].second, 1);
+  MatchingScratch s;
+  ASSERT_TRUE(bottleneck_solve(m, s));
+  EXPECT_DOUBLE_EQ(s.bottleneck, 5.0);
+  EXPECT_EQ(s.final_left[0], 0);
+  EXPECT_EQ(s.final_left[1], 1);
 }
 
 TEST(Bottleneck, ForcedThroughSmallEntry) {
   // Any perfect matching must use an entry of value 1.
   const Matrix m = Matrix::from_rows({{1, 9}, {0, 1}});
-  const auto r = bottleneck_perfect_matching(m);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_DOUBLE_EQ(r->bottleneck, 1.0);
+  MatchingScratch s;
+  ASSERT_TRUE(bottleneck_solve(m, s));
+  EXPECT_DOUBLE_EQ(s.bottleneck, 1.0);
 }
 
 TEST(Bottleneck, NoPerfectMatchingReturnsNullopt) {
   Matrix m(2);
   m.at(0, 0) = 1.0;
   m.at(1, 0) = 1.0;  // both rows need column 0
-  EXPECT_FALSE(bottleneck_perfect_matching(m).has_value());
+  MatchingScratch s;
+  EXPECT_FALSE(bottleneck_solve(m, s));
+  EXPECT_FALSE(bottleneck_solve(SupportIndex(m), s));
 }
 
 TEST(Bottleneck, AllZeroMatrixReturnsNullopt) {
-  EXPECT_FALSE(bottleneck_perfect_matching(Matrix(3)).has_value());
+  MatchingScratch s;
+  EXPECT_FALSE(bottleneck_solve(Matrix(3), s));
+  EXPECT_FALSE(bottleneck_solve(SupportIndex::zeros(3), s));
 }
 
 TEST(Bottleneck, MatchingIsPerfectAndOnSupport) {
   Rng rng(3);
   const Matrix m = testing::random_doubly_stochastic(rng, 6, 4, 1.0, 5.0);
-  const auto r = bottleneck_perfect_matching(m);
-  ASSERT_TRUE(r.has_value());
-  ASSERT_EQ(r->pairs.size(), 6u);
+  MatchingScratch s;
+  ASSERT_TRUE(bottleneck_solve(m, s));
+  EXPECT_EQ(s.matching_size, 6);
   std::vector<char> col_used(6, 0);
-  for (const auto& [i, j] : r->pairs) {
-    EXPECT_GE(m.at(i, j), r->bottleneck - kTimeEps);
+  for (int i = 0; i < 6; ++i) {
+    const int j = s.final_left[i];
+    ASSERT_GE(j, 0);
+    EXPECT_EQ(s.final_right[j], i);
+    EXPECT_GE(m.at(i, j), s.bottleneck - kTimeEps);
     EXPECT_FALSE(col_used[j]);
     col_used[j] = 1;
   }
@@ -74,12 +84,13 @@ TEST(BottleneckProperty, MatchesBruteForce) {
     const int n = rng.uniform_int(2, 5);
     Matrix m = testing::random_demand(rng, n, 0.8, 1.0, 20.0);
     const double oracle = brute_force_bottleneck(m);
-    const auto r = bottleneck_perfect_matching(m);
+    MatchingScratch s;
+    const bool ok = bottleneck_solve(m, s);
     if (oracle == 0.0) {
-      EXPECT_FALSE(r.has_value()) << "trial " << trial;
+      EXPECT_FALSE(ok) << "trial " << trial;
     } else {
-      ASSERT_TRUE(r.has_value()) << "trial " << trial;
-      EXPECT_NEAR(r->bottleneck, oracle, 1e-9) << "trial " << trial;
+      ASSERT_TRUE(ok) << "trial " << trial;
+      EXPECT_NEAR(s.bottleneck, oracle, 1e-9) << "trial " << trial;
     }
   }
 }

@@ -1,15 +1,38 @@
-#include "matching/hopcroft_karp.hpp"
-
+// Hopcroft-Karp maximum matching through the engine's entry points:
+// hk_augment_csr on a CSR filled from adjacency lists or built by
+// build_csr at a threshold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
+#include <vector>
 
+#include "matching/matching_engine.hpp"
+#include "oracles/dense_reference.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
 
 namespace reco {
 namespace {
+
+struct Matched {
+  std::vector<int> left;   ///< left[i] = matched right vertex of i, or -1
+  std::vector<int> right;  ///< right[j] = matched left vertex of j, or -1
+  int size = 0;
+};
+
+/// Cold maximum matching of the graph given by adjacency lists.
+Matched hopcroft_karp(int n_left, int n_right, const std::vector<std::vector<int>>& adj) {
+  MatchingScratch s;
+  testing::fill_csr(n_left, n_right, adj, s);
+  Matched r;
+  r.size = testing::cold_matching(s, r.left, r.right);
+  return r;
+}
+
+bool has_perfect_matching_at(const Matrix& m, double threshold) {
+  return testing::max_matching_size(m, threshold) == m.n();
+}
 
 /// Brute-force maximum matching size by trying all column permutations
 /// (only for tiny n) -- the oracle for property tests.
@@ -30,37 +53,39 @@ int brute_force_max_matching(int n, const std::vector<std::vector<int>>& adj) {
 }
 
 TEST(HopcroftKarp, EmptyGraph) {
-  const MatchingResult r = hopcroft_karp(3, 3, {{}, {}, {}});
+  const Matched r = hopcroft_karp(3, 3, {{}, {}, {}});
   EXPECT_EQ(r.size, 0);
-  EXPECT_FALSE(r.is_perfect());
+  EXPECT_EQ(r.left, (std::vector<int>{-1, -1, -1}));
 }
 
 TEST(HopcroftKarp, PerfectOnIdentity) {
-  const MatchingResult r = hopcroft_karp(3, 3, {{0}, {1}, {2}});
+  const Matched r = hopcroft_karp(3, 3, {{0}, {1}, {2}});
   EXPECT_EQ(r.size, 3);
-  EXPECT_TRUE(r.is_perfect());
-  EXPECT_EQ(r.match_left[1], 1);
-  EXPECT_EQ(r.match_right[2], 2);
+  EXPECT_EQ(r.left[1], 1);
+  EXPECT_EQ(r.right[2], 2);
 }
 
 TEST(HopcroftKarp, AugmentingPathNeeded) {
   // Greedy 0->0 would block 1; HK must find the augmenting path.
-  const MatchingResult r = hopcroft_karp(2, 2, {{0, 1}, {0}});
+  const Matched r = hopcroft_karp(2, 2, {{0, 1}, {0}});
   EXPECT_EQ(r.size, 2);
 }
 
 TEST(HopcroftKarp, MatchingIsConsistent) {
-  const MatchingResult r = hopcroft_karp(4, 4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
+  const Matched r = hopcroft_karp(4, 4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
   EXPECT_EQ(r.size, 4);
   for (int i = 0; i < 4; ++i) {
-    ASSERT_NE(r.match_left[i], -1);
-    EXPECT_EQ(r.match_right[r.match_left[i]], i);
+    ASSERT_NE(r.left[i], -1);
+    EXPECT_EQ(r.right[r.left[i]], i);
   }
 }
 
 TEST(HopcroftKarp, RectangularGraph) {
-  const MatchingResult r = hopcroft_karp(2, 3, {{0, 1, 2}, {2}});
+  const Matched r = hopcroft_karp(2, 3, {{0, 1, 2}, {2}});
   EXPECT_EQ(r.size, 2);
+  EXPECT_EQ(r.right.size(), 3u);
+  EXPECT_EQ(r.left[1], 2);
+  EXPECT_NE(r.left[0], 2);
 }
 
 TEST(HopcroftKarpProperty, MatchesBruteForceOnRandomGraphs) {
@@ -79,10 +104,24 @@ TEST(HopcroftKarpProperty, MatchesBruteForceOnRandomGraphs) {
 }
 
 TEST(ThresholdHelpers, AdjacencyRespectsThreshold) {
+  // build_csr keeps exactly the oracle's threshold adjacency, dense or
+  // sparse source alike.
   const Matrix m = Matrix::from_rows({{5, 1}, {2, 8}});
-  const auto adj = threshold_adjacency(m, 2.0);
+  const auto adj = dense_reference::threshold_adjacency(m, 2.0);
   EXPECT_EQ(adj[0], (std::vector<int>{0}));
   EXPECT_EQ(adj[1], (std::vector<int>{0, 1}));
+  EXPECT_EQ(dense_reference::threshold_adjacency(SupportIndex(m), 2.0), adj);
+  MatchingScratch s;
+  for (const bool sparse : {false, true}) {
+    if (sparse) {
+      build_csr(SupportIndex(m), 2.0, /*with_values=*/true, s);
+    } else {
+      build_csr(m, 2.0, /*with_values=*/true, s);
+    }
+    EXPECT_EQ(s.csr_off, (std::vector<int>{0, 1, 3}));
+    EXPECT_EQ(s.csr_col, (std::vector<int>{0, 0, 1}));
+    EXPECT_EQ(s.csr_val, (std::vector<double>{5, 2, 8}));
+  }
 }
 
 TEST(ThresholdHelpers, PerfectMatchingAtThreshold) {

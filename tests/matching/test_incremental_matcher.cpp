@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/support_index.hpp"
-#include "matching/hopcroft_karp.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
 
@@ -90,7 +89,7 @@ TEST(IncrementalMatcherProperty, AgreesWithHopcroftKarpUnderRandomDeletions) {
       m.set(i, j, 0.0);
       matcher.on_entry_changed(i, j);
       matcher.rematch();
-      EXPECT_EQ(matcher.size(), threshold_matching(m, 0.5).size)
+      EXPECT_EQ(matcher.size(), testing::max_matching_size(m, 0.5))
           << "trial " << trial << " step " << step;
     }
   }
@@ -105,7 +104,7 @@ TEST(IncrementalMatcherProperty, SupportIterationMatchesDenseMatching) {
     const SupportIndex idx(dense);
     IncrementalMatcher sparse(idx, 0.5);
     sparse.rematch();
-    EXPECT_EQ(sparse.size(), threshold_matching(dense, 0.5).size) << "trial " << trial;
+    EXPECT_EQ(sparse.size(), testing::max_matching_size(dense, 0.5)) << "trial " << trial;
   }
 }
 

@@ -9,7 +9,6 @@
 
 #include "core/matrix.hpp"
 #include "core/support_index.hpp"
-#include "matching/bottleneck.hpp"
 #include "obs/obs.hpp"
 #include "oracles/dense_reference.hpp"
 #include "testing_util.hpp"
@@ -35,22 +34,21 @@ TEST(MatchingEngine, EpsilonDedupChainRegression) {
   m.at(1, 1) = mid;
   m.at(2, 2) = top;
 
-  const auto engine = bottleneck_perfect_matching(m);
-  ASSERT_TRUE(engine.has_value());
-  EXPECT_DOUBLE_EQ(engine->bottleneck, mid);
+  MatchingScratch engine;
+  ASSERT_TRUE(bottleneck_solve(m, engine));
+  EXPECT_DOUBLE_EQ(engine.bottleneck, mid);
 
   // The retained reference oracle carries the same fix.
   const auto ref = dense_reference::bottleneck_perfect_matching_reference(m);
   ASSERT_TRUE(ref.has_value());
   EXPECT_DOUBLE_EQ(ref->bottleneck, mid);
-  EXPECT_EQ(engine->pairs, ref->pairs);
+  for (int i = 0; i < m.n(); ++i) EXPECT_EQ(engine.final_left[i], ref->pairs[i].second);
 
   // Sparse overloads agree.
-  const SupportIndex idx(m);
-  const auto sparse = bottleneck_perfect_matching(idx);
-  ASSERT_TRUE(sparse.has_value());
-  EXPECT_DOUBLE_EQ(sparse->bottleneck, mid);
-  EXPECT_EQ(sparse->pairs, engine->pairs);
+  MatchingScratch sparse;
+  ASSERT_TRUE(bottleneck_solve(SupportIndex(m), sparse));
+  EXPECT_DOUBLE_EQ(sparse.bottleneck, mid);
+  EXPECT_EQ(sparse.final_left, engine.final_left);
 }
 
 TEST(MatchingEngine, PathShapedStressN512DeepAugmentingPath) {

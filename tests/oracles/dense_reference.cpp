@@ -7,14 +7,18 @@
 #include <stdexcept>
 #include <vector>
 
-#include "matching/bottleneck.hpp"
-#include "matching/hopcroft_karp.hpp"
-
 namespace reco::dense_reference {
 
 namespace {
 
 constexpr double kSupportThreshold = 2 * kTimeEps;
+
+/// Maximum matching on an n x n graph (match_left[i] = column or -1).
+struct MatchingResult {
+  std::vector<int> match_left;
+  std::vector<int> match_right;
+  int size = 0;
+};
 
 /// The original dense incremental matcher: Kuhn augmentation probes every
 /// column of a row, present edge or not.
@@ -264,6 +268,29 @@ std::optional<BottleneckMatching> bottleneck_reference_impl(const Src& src,
 
 }  // namespace
 
+std::vector<std::vector<int>> threshold_adjacency(const Matrix& m, double threshold) {
+  std::vector<std::vector<int>> adj(m.n());
+  for (int i = 0; i < m.n(); ++i) {
+    for (int j = 0; j < m.n(); ++j) {
+      if (m.at(i, j) >= threshold - kTimeEps) adj[i].push_back(j);
+    }
+  }
+  return adj;
+}
+
+std::vector<std::vector<int>> threshold_adjacency(const SupportIndex& idx, double threshold) {
+  std::vector<std::vector<int>> adj(idx.n());
+  for (int i = 0; i < idx.n(); ++i) {
+    const auto support = idx.row_support(i);
+    const auto vals = idx.row_values(i);
+    adj[i].reserve(support.size());
+    for (int k = 0; k < support.size(); ++k) {
+      if (vals[k] >= threshold - kTimeEps) adj[i].push_back(support[k]);
+    }
+  }
+  return adj;
+}
+
 std::optional<BottleneckMatching> bottleneck_perfect_matching_reference(const Matrix& m) {
   std::vector<double> values;
   values.reserve(static_cast<std::size_t>(m.n()) * m.n());
@@ -289,7 +316,8 @@ std::optional<BottleneckMatching> bottleneck_perfect_matching_reference(const Su
 CircuitSchedule cover_decompose(Matrix m) {
   CircuitSchedule schedule;
   while (m.nnz() > 0) {
-    const MatchingResult match = threshold_matching(m, kSupportThreshold);
+    const MatchingResult match =
+        ref_hopcroft_karp(m.n(), threshold_adjacency(m, kSupportThreshold));
     CircuitAssignment a;
     for (int i = 0; i < m.n(); ++i) {
       const int j = match.match_left[i];

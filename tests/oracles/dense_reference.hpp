@@ -16,6 +16,8 @@
 #pragma once
 
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "core/circuit.hpp"
 #include "core/matrix.hpp"
@@ -23,9 +25,22 @@
 #include "core/types.hpp"
 
 #include "bvn/bvn.hpp"  // BvnPolicy
-#include "matching/bottleneck.hpp"
 
 namespace reco::dense_reference {
+
+/// One max-min perfect matching as the oracle reports it.
+struct BottleneckMatching {
+  /// Matched pairs (row, col); a perfect matching on the nonzero support.
+  std::vector<std::pair<int, int>> pairs;
+  /// The maximized minimum entry along the matching.
+  double bottleneck = 0.0;
+};
+
+/// Adjacency of the support {(i,j) : m(i,j) >= threshold - eps}, as
+/// ascending per-row column lists.  The SupportIndex overload walks the
+/// support in O(nnz) and returns the same lists.
+std::vector<std::vector<int>> threshold_adjacency(const Matrix& m, double threshold);
+std::vector<std::vector<int>> threshold_adjacency(const SupportIndex& idx, double threshold);
 
 /// Dense Birkhoff decomposition: full-matrix nnz() rescan per round, Kuhn
 /// augmentation probing all N columns per row.

@@ -15,7 +15,6 @@
 #include "bvn/bvn.hpp"
 #include "bvn/stuffing.hpp"
 #include "core/support_index.hpp"
-#include "matching/bottleneck.hpp"
 #include "matching/matching_engine.hpp"
 #include "oracles/dense_reference.hpp"
 #include "testing_util.hpp"
@@ -24,15 +23,19 @@
 namespace reco {
 namespace {
 
-void expect_matchings_identical(const std::optional<BottleneckMatching>& engine,
-                                const std::optional<BottleneckMatching>& oracle,
+/// `ok` and `s` are one bottleneck_solve's return value and scratch.
+void expect_matchings_identical(bool ok, const MatchingScratch& s,
+                                const std::optional<dense_reference::BottleneckMatching>& oracle,
                                 const std::string& context) {
-  ASSERT_EQ(engine.has_value(), oracle.has_value()) << context;
-  if (!engine) return;
+  ASSERT_EQ(ok, oracle.has_value()) << context;
+  if (!ok) return;
   // Bit-identical, not approximately equal: the engine selects the same
   // ladder entry and runs the same final matching as the seed.
-  EXPECT_EQ(engine->bottleneck, oracle->bottleneck) << context;
-  EXPECT_EQ(engine->pairs, oracle->pairs) << context;
+  EXPECT_EQ(s.bottleneck, oracle->bottleneck) << context;
+  ASSERT_EQ(oracle->pairs.size(), static_cast<std::size_t>(s.matching_size)) << context;
+  for (std::size_t i = 0; i < oracle->pairs.size(); ++i) {
+    EXPECT_EQ(s.final_left[i], oracle->pairs[i].second) << context << " row " << i;
+  }
 }
 
 TEST(MatchingEngineEquivalence, BitIdenticalToSeedOn200RandomMatrices) {
@@ -40,7 +43,10 @@ TEST(MatchingEngineEquivalence, BitIdenticalToSeedOn200RandomMatrices) {
   // {50, 100, 200, 500, 1000} in bench_micro_kernels.cpp) = 200 total.
   // Stuffing guarantees a perfect matching exists for half of them; the
   // raw half also exercises agreement on infeasible (nullopt) inputs.
+  // One scratch serves every solve, so each one warm-starts from an
+  // unrelated matrix (often of another dimension).
   Rng rng(20260806);
+  MatchingScratch s;
   int trials = 0;
   for (const double density : {0.05, 0.1, 0.2, 0.5, 1.0}) {
     for (int k = 0; k < 40; ++k) {
@@ -51,15 +57,18 @@ TEST(MatchingEngineEquivalence, BitIdenticalToSeedOn200RandomMatrices) {
                                   std::to_string(k) + " n=" + std::to_string(n);
       const auto oracle = dense_reference::bottleneck_perfect_matching_reference(m);
 
-      // Dense overload, via the thread-local-scratch wrapper.
-      expect_matchings_identical(bottleneck_perfect_matching(m), oracle, context + " dense");
-      // Sparse overload against the sparse oracle and the dense oracle.
+      // Dense overload.
+      bool ok = bottleneck_solve(m, s);
+      expect_matchings_identical(ok, s, oracle, context + " dense");
+      // Sparse overload against the sparse oracle, then re-solved warm on
+      // the same matrix against the dense oracle.
       const SupportIndex idx(m);
-      expect_matchings_identical(bottleneck_perfect_matching(idx),
+      ok = bottleneck_solve(idx, s);
+      expect_matchings_identical(ok, s,
                                  dense_reference::bottleneck_perfect_matching_reference(idx),
                                  context + " sparse");
-      expect_matchings_identical(bottleneck_perfect_matching(idx), oracle,
-                                 context + " sparse-vs-dense");
+      ok = bottleneck_solve(idx, s);
+      expect_matchings_identical(ok, s, oracle, context + " sparse-vs-dense");
       ++trials;
     }
   }

@@ -18,6 +18,7 @@
 // This file is part of the TSan CI job (RECO_THREADS=8).
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,8 @@
 #include "bvn/stuffing.hpp"
 #include "core/support_index.hpp"
 #include "matching/matching_engine.hpp"
+#include "obs/flight_recorder.hpp"
+#include "obs/obs.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
 
@@ -185,15 +188,26 @@ TEST(ScaleEquivalence, SequentialPeelCoversWhenNoPerfectMatchingExists) {
   // perfect matching: rows 0 and 1 both reach only column 0, so column 1
   // is empty.  This is the round-off state a long peel can end in; every
   // policy must escape into the matching cover and still serve each entry.
+  // With telemetry on, each escape bumps bvn.cover_fallbacks and records
+  // one flight-recorder event without dumping.
   const int n = 64;
   const double a = 10 * kTimeEps;
   Matrix m(n);
   m.at(0, 0) = a;
   m.at(1, 0) = a;
   for (int i = 2; i < n; ++i) m.at(i, i) = a;
+  obs::reset();
+  obs::set_enabled(true);
+  obs::Counter& fallbacks = obs::metrics().counter("bvn.cover_fallbacks");
   for (const BvnPolicy policy : kPolicies) {
     const std::string ctx = policy_name(policy);
+    const double fallbacks_before = fallbacks.value();
+    const std::uint64_t events_before = obs::flight_recorder().total_events();
+    const std::uint64_t dumps_before = obs::flight_recorder().dumps();
     const CircuitSchedule s = bvn_decompose(SupportIndex(m), policy);
+    EXPECT_EQ(fallbacks.value(), fallbacks_before + 1.0) << ctx;
+    EXPECT_EQ(obs::flight_recorder().total_events(), events_before + 1) << ctx;
+    EXPECT_EQ(obs::flight_recorder().dumps(), dumps_before) << ctx;
     ASSERT_TRUE(s.is_valid(n)) << ctx;
     ASSERT_FALSE(s.assignments.empty()) << ctx;
     // A peel round always lights a full permutation; a cover round lights
@@ -206,6 +220,7 @@ TEST(ScaleEquivalence, SequentialPeelCoversWhenNoPerfectMatchingExists) {
       }
     }
   }
+  obs::set_enabled(false);
 }
 
 }  // namespace
