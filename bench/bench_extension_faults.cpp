@@ -24,15 +24,21 @@ int main(int argc, char** argv) {
 
   struct Scenario {
     const char* name;
-    sim::FaultModel faults;
+    sim::FaultConfig faults;
+  };
+  const auto timing = [](double jitter, double retries) {
+    sim::FaultConfig c;
+    c.jitter_fraction = jitter;
+    c.retry_probability = retries;
+    return c;
   };
   const Scenario scenarios[] = {
-      {"ideal", {}},
-      {"jitter 25%", {.jitter_fraction = 0.25}},
-      {"jitter 100%", {.jitter_fraction = 1.0}},
-      {"retries 10%", {.retry_probability = 0.10}},
-      {"retries 30%", {.retry_probability = 0.30}},
-      {"jitter 50% + retries 20%", {.jitter_fraction = 0.5, .retry_probability = 0.2}},
+      {"ideal", timing(0.0, 0.0)},
+      {"jitter 25%", timing(0.25, 0.0)},
+      {"jitter 100%", timing(1.0, 0.0)},
+      {"retries 10%", timing(0.0, 0.10)},
+      {"retries 30%", timing(0.0, 0.30)},
+      {"jitter 50% + retries 20%", timing(0.5, 0.2)},
   };
 
   ReportTable t("Extension: CCT degradation under reconfiguration faults");
@@ -53,8 +59,11 @@ int main(int argc, char** argv) {
       const Matrix& d = coflows[k].demand;
       sim::ReplayController reco_ctrl(reco_sin(d, g.delta));
       sim::ReplayController sol_ctrl(solstice(d));
-      reco_cct.push_back(sim::simulate_single_coflow(reco_ctrl, d, g.delta, sc.faults).cct);
-      sol_cct.push_back(sim::simulate_single_coflow(sol_ctrl, d, g.delta, sc.faults).cct);
+      // A fresh injector per run: both schedules face the same fault stream.
+      sim::FaultInjector reco_faults(sc.faults);
+      sim::FaultInjector sol_faults(sc.faults);
+      reco_cct.push_back(sim::simulate_single_coflow(reco_ctrl, d, g.delta, reco_faults).cct);
+      sol_cct.push_back(sim::simulate_single_coflow(sol_ctrl, d, g.delta, sol_faults).cct);
     }
     const double reco = mean(reco_cct);
     const double sol = mean(sol_cct);

@@ -136,6 +136,9 @@ void BM_BottleneckMatchingDense(benchmark::State& state) {
 }
 BENCHMARK(BM_BottleneckMatchingDense)->Apply(DensitySweep);
 
+// Engine with a caller-owned scratch, the hot-path calling convention:
+// after the first iteration every solve warm-starts from the previous
+// matching and reuses every buffer (steady state allocates nothing).
 void BM_BottleneckMatchingSparse(benchmark::State& state) {
   const SupportIndex idx(stuff(swept_input(state, 2)));
   MatchingScratch scratch;
@@ -159,20 +162,6 @@ void BM_BottleneckMatchingSeedSparse(benchmark::State& state) {
   report_shape(state, idx.matrix());
 }
 BENCHMARK(BM_BottleneckMatchingSeedSparse)->Apply(DensitySweep);
-
-// Engine with a caller-owned scratch, the hot-path calling convention:
-// after the first iteration every solve warm-starts from the previous
-// matching and reuses every buffer (steady state allocates nothing).
-void BM_BottleneckAmortized(benchmark::State& state) {
-  const SupportIndex idx(stuff(swept_input(state, 2)));
-  MatchingScratch scratch;
-  for (auto _ : state) {
-    bottleneck_solve(idx, scratch);
-    benchmark::DoNotOptimize(scratch.bottleneck);
-  }
-  report_shape(state, idx.matrix());
-}
-BENCHMARK(BM_BottleneckAmortized)->Apply(DensitySweep);
 
 // ---- warm-started exact-bottleneck peel ----------------------------------
 //

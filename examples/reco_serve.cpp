@@ -2,8 +2,8 @@
 //
 // Synthesizes a Poisson coflow arrival stream (or replays a trace file)
 // and pushes it through the event-driven OnlineDaemon: arrivals and epoch
-// completions flow through the sim EventQueue, a pluggable OnlinePolicy
-// decides admit/re-order on the residual set, and every replan reuses the
+// completions flow through the sim EventQueue, the --policy kind decides
+// preemption and batching on the residual set, and every replan reuses the
 // warm-started matching and Reco-Mul scratch — zero steady-state
 // allocation once warm.
 //

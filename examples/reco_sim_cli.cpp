@@ -151,9 +151,9 @@ int run_single(const Args& args, const std::vector<Coflow>& coflows) {
   ExecutionResult r;
   if (timing_faults || port_faults) {
     sim::FaultConfig config;
-    config.timing.jitter_fraction = args.get_double("jitter", 0.0);
-    config.timing.retry_probability = args.get_double("retries", 0.0);
-    config.timing.max_attempts = static_cast<int>(args.get_double("setup-attempts", 64));
+    config.jitter_fraction = args.get_double("jitter", 0.0);
+    config.retry_probability = args.get_double("retries", 0.0);
+    config.max_attempts = static_cast<int>(args.get_double("setup-attempts", 64));
     if (args.has("fault-trace")) {
       config.port_faults = sim::load_fault_trace(args.get("fault-trace", ""));
     }
@@ -167,7 +167,7 @@ int run_single(const Args& args, const std::vector<Coflow>& coflows) {
                 "crosspoint %.0f%%, mtbf %g s, mttr %g s, %zu scripted faults "
                 "(event-driven all-stop fabric; --model ignored)\n",
                 static_cast<unsigned long long>(config.seed),
-                100 * config.timing.jitter_fraction, 100 * config.timing.retry_probability,
+                100 * config.jitter_fraction, 100 * config.retry_probability,
                 100 * config.setup_timeout_probability,
                 100 * config.crosspoint_failure_probability, config.port_mtbf,
                 config.port_mttr, config.port_faults.size());

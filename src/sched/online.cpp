@@ -32,7 +32,7 @@ OnlineScheduleResult schedule_online(const std::vector<Coflow>& coflows, OnlineP
   const std::size_t n = coflows.size();
   std::size_t cursor = 0;
 
-  if (core.policy().serialize_batch()) {
+  if (serializes_batch(policy)) {
     // FIFO: serve strictly in submission order; each serve starts at
     // max(clock, arrival), so admission timing cannot reorder anything —
     // submit lazily and step.
@@ -42,7 +42,7 @@ OnlineScheduleResult schedule_online(const std::vector<Coflow>& coflows, OnlineP
       clock = core.step_fifo(clock);
     }
   } else {
-    const bool preempt = core.policy().preempt_on_arrival();
+    const bool preempt = preempts_on_arrival(policy);
     Time clock = 0.0;
     while (cursor < n || !core.idle()) {
       // Admit everything that has arrived (eps-tolerant boundary, matching

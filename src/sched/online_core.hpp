@@ -20,7 +20,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/coflow.hpp"
@@ -142,7 +141,6 @@ class OnlineCore {
   Time step_fifo(Time now);
 
   OnlinePolicyKind kind() const { return kind_; }
-  const OnlinePolicy& policy() const { return *policy_; }
   const OnlineCoreOptions& options() const { return options_; }
 
   const SliceSchedule& schedule() const { return schedule_; }
@@ -193,7 +191,6 @@ class OnlineCore {
   void note_footprint();
 
   OnlinePolicyKind kind_;
-  std::unique_ptr<OnlinePolicy> policy_;
   OnlineCoreOptions options_;
 
   // Slot store: slots_ never shrinks; finished slots are recycled via the

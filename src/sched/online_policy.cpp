@@ -1,64 +1,6 @@
 #include "sched/online_policy.hpp"
 
-#include <stdexcept>
-
 namespace reco {
-
-namespace {
-
-/// Batch scheduling at idle: everything live runs as one Reco-Mul epoch,
-/// newcomers wait for the next one.
-class EpochBatchPolicy final : public OnlinePolicy {
- public:
-  explicit EpochBatchPolicy(OrderingPolicy ordering) : ordering_(ordering) {}
-  const char* name() const override { return "epoch-reco-mul"; }
-  bool preempt_on_arrival() const override { return false; }
-  bool serialize_batch() const override { return false; }
-  void order_batch(const std::vector<const SupportIndex*>& residuals,
-                   const std::vector<double>& weights, OrderingScratch& scratch,
-                   std::vector<int>& out) const override {
-    order_residuals_into(residuals, weights, ordering_, scratch, out);
-  }
-
- private:
-  OrderingPolicy ordering_;
-};
-
-/// Reactive batching: arrivals cut the running epoch and force a replan of
-/// the residual set including the newcomer.
-class DrainReplanPolicy final : public OnlinePolicy {
- public:
-  explicit DrainReplanPolicy(OrderingPolicy ordering) : ordering_(ordering) {}
-  const char* name() const override { return "drain-replan-reco-mul"; }
-  bool preempt_on_arrival() const override { return true; }
-  bool serialize_batch() const override { return false; }
-  void order_batch(const std::vector<const SupportIndex*>& residuals,
-                   const std::vector<double>& weights, OrderingScratch& scratch,
-                   std::vector<int>& out) const override {
-    order_residuals_into(residuals, weights, ordering_, scratch, out);
-  }
-
- private:
-  OrderingPolicy ordering_;
-};
-
-/// The natural online baseline: one coflow at a time, arrival order,
-/// Reco-Sin per coflow.
-class FifoSerialPolicy final : public OnlinePolicy {
- public:
-  const char* name() const override { return "fifo-reco-sin"; }
-  bool preempt_on_arrival() const override { return false; }
-  bool serialize_batch() const override { return true; }
-  void order_batch(const std::vector<const SupportIndex*>& residuals,
-                   const std::vector<double>& /*weights*/, OrderingScratch& /*scratch*/,
-                   std::vector<int>& out) const override {
-    // Arrival order == admission order == index order.
-    out.resize(residuals.size());
-    for (std::size_t k = 0; k < residuals.size(); ++k) out[k] = static_cast<int>(k);
-  }
-};
-
-}  // namespace
 
 const char* to_string(OnlinePolicyKind kind) {
   switch (kind) {
@@ -67,16 +9,6 @@ const char* to_string(OnlinePolicyKind kind) {
     case OnlinePolicyKind::kDrainReplanRecoMul: return "drain-replan-reco-mul";
   }
   return "unknown";
-}
-
-std::unique_ptr<OnlinePolicy> make_online_policy(OnlinePolicyKind kind, OrderingPolicy ordering) {
-  switch (kind) {
-    case OnlinePolicyKind::kEpochRecoMul: return std::make_unique<EpochBatchPolicy>(ordering);
-    case OnlinePolicyKind::kFifoRecoSin: return std::make_unique<FifoSerialPolicy>();
-    case OnlinePolicyKind::kDrainReplanRecoMul:
-      return std::make_unique<DrainReplanPolicy>(ordering);
-  }
-  throw std::invalid_argument("make_online_policy: unknown policy kind");
 }
 
 }  // namespace reco

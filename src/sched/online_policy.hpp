@@ -1,30 +1,19 @@
-// Pluggable online scheduling policies: the seam between the event-driven
-// replan core (OnlineCore / the sim OnlineDaemon) and the paper's coflow
-// machinery.  A policy answers three questions the daemon asks on every
-// event:
+// Online scheduling policies: how the event-driven replan core (OnlineCore
+// / the sim OnlineDaemon) treats arrivals.  A policy answers two questions
+// the daemon asks on every event:
 //
 //   * does an arrival preempt the running epoch (cut + replan) or wait for
 //     the fabric to go idle?
 //   * is the batch served as one Reco-Mul instance, or serialized through
 //     the single-coflow Reco-Sin pipeline in arrival order?
-//   * in what priority order does the residual set run?
 //
-// The three stock policies reproduce the historical `schedule_online`
-// modes; new admission/ordering strategies (ROADMAP item 3's
-// fault-aware replanning, K-core comparisons) plug in here without
-// touching the replan core.
+// Batch policies order the live residual set with the core's
+// OrderingPolicy; the serialized policy serves it in arrival order.  The
+// three policies are the modes of `schedule_online`.
 #pragma once
-
-#include <memory>
-#include <vector>
-
-#include "core/support_index.hpp"
-#include "sched/ordering.hpp"
 
 namespace reco {
 
-/// Stock policy selector (the historical `OnlinePolicy` enum; renamed so
-/// the interface below can take the natural name).
 enum class OnlinePolicyKind {
   kEpochRecoMul,
   kFifoRecoSin,
@@ -33,37 +22,17 @@ enum class OnlinePolicyKind {
 
 const char* to_string(OnlinePolicyKind kind);
 
-/// Strategy interface consulted by the online replan core.  Implementations
-/// must be stateless across decisions (the core owns all mutable state), so
-/// one policy instance can serve many runs and replays stay deterministic.
-class OnlinePolicy {
- public:
-  virtual ~OnlinePolicy() = default;
+/// True: an arrival cuts the running epoch (started slices finish,
+/// everything else is cancelled and folded back) and triggers an immediate
+/// replan.  False: arrivals wait for the fabric to go idle.
+constexpr bool preempts_on_arrival(OnlinePolicyKind kind) {
+  return kind == OnlinePolicyKind::kDrainReplanRecoMul;
+}
 
-  virtual const char* name() const = 0;
-
-  /// True: an arrival cuts the running epoch (started slices finish,
-  /// everything else is cancelled and folded back) and triggers an
-  /// immediate replan.  False: arrivals wait for the fabric to go idle.
-  virtual bool preempt_on_arrival() const = 0;
-
-  /// True: coflows are served one at a time through the single-coflow
-  /// pipeline in arrival order instead of batch replanning.
-  virtual bool serialize_batch() const = 0;
-
-  /// Order the live residual set: write a permutation of indices into
-  /// `residuals` to `out` (highest priority first).  Must be a pure
-  /// function of the arguments — determinism of the whole replay depends
-  /// on it.
-  virtual void order_batch(const std::vector<const SupportIndex*>& residuals,
-                           const std::vector<double>& weights, OrderingScratch& scratch,
-                           std::vector<int>& out) const = 0;
-};
-
-/// Stock policy factory.  `ordering` selects the intra-batch priority rule
-/// for the batch policies; the FIFO policy ignores it (arrival order is the
-/// whole point).
-std::unique_ptr<OnlinePolicy> make_online_policy(OnlinePolicyKind kind,
-                                                 OrderingPolicy ordering = OrderingPolicy::kBssi);
+/// True: coflows are served one at a time through the single-coflow
+/// pipeline in arrival order instead of batch replanning.
+constexpr bool serializes_batch(OnlinePolicyKind kind) {
+  return kind == OnlinePolicyKind::kFifoRecoSin;
+}
 
 }  // namespace reco

@@ -23,17 +23,13 @@ CircuitSchedule reco_sin(const Matrix& demand, Time delta, BvnPolicy policy) {
   return bvn_decompose(std::move(stuffed), policy);
 }
 
-CircuitSchedule reco_sin_surviving(const Matrix& residual, const std::vector<char>& failed_in,
-                                   const std::vector<char>& failed_out, Time delta,
+CircuitSchedule reco_sin_surviving(const Matrix& residual, const PortLiveness& ports, Time delta,
                                    BvnPolicy policy) {
   obs::ScopedSpan span("sched.reco_sin_surviving", "sched");
-  const auto down = [](const std::vector<char>& mask, int p) {
-    return p >= 0 && p < static_cast<int>(mask.size()) && mask[p];
-  };
   Matrix masked = residual;
   for (int i = 0; i < masked.n(); ++i) {
     for (int j = 0; j < masked.n(); ++j) {
-      if (down(failed_in, i) || down(failed_out, j)) masked.at(i, j) = 0.0;
+      if (!ports.circuit_up({i, j})) masked.at(i, j) = 0.0;
     }
   }
   if (obs::enabled()) {
@@ -48,7 +44,7 @@ CircuitSchedule reco_sin_surviving(const Matrix& residual, const std::vector<cha
     CircuitAssignment kept;
     kept.duration = a.duration;
     for (const Circuit& c : a.circuits) {
-      if (!down(failed_in, c.in) && !down(failed_out, c.out)) kept.circuits.push_back(c);
+      if (ports.circuit_up(c)) kept.circuits.push_back(c);
     }
     if (!kept.circuits.empty()) pruned.assignments.push_back(std::move(kept));
   }

@@ -10,11 +10,10 @@
 // establishment as soon as the *original* demands on it finish.
 #pragma once
 
-#include <vector>
-
 #include "bvn/bvn.hpp"
 #include "core/circuit.hpp"
 #include "core/matrix.hpp"
+#include "core/port_liveness.hpp"
 #include "core/types.hpp"
 
 namespace reco {
@@ -29,10 +28,8 @@ CircuitSchedule reco_sin(const Matrix& demand, Time delta,
 /// normal Reco-Sin pipeline, and circuits the stuffing stage placed on
 /// failed ports — padding, never demand — are pruned from the result, so
 /// no assignment in the returned schedule asks the fabric to light a dark
-/// port.  Empty masks (or masks shorter than the fabric) treat the
-/// unnamed ports as up.
-CircuitSchedule reco_sin_surviving(const Matrix& residual, const std::vector<char>& failed_in,
-                                   const std::vector<char>& failed_out, Time delta,
+/// port.  Ports outside `ports`' range read as up.
+CircuitSchedule reco_sin_surviving(const Matrix& residual, const PortLiveness& ports, Time delta,
                                    BvnPolicy policy = BvnPolicy::kMaxMinAmortized);
 
 }  // namespace reco

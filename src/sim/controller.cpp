@@ -14,8 +14,8 @@ namespace reco::sim {
 
 ReplayController::ReplayController(CircuitSchedule schedule) : schedule_(std::move(schedule)) {}
 
-std::optional<CircuitAssignment> ReplayController::next_assignment(Time /*now*/,
-                                                                   const Matrix& residual) {
+std::optional<CircuitAssignment> ReplayController::next_assignment(
+    Time /*now*/, const Matrix& residual, const PortLiveness& /*ports*/) {
   while (next_ < schedule_.assignments.size()) {
     const CircuitAssignment& a = schedule_.assignments[next_++];
     for (const Circuit& c : a.circuits) {
@@ -30,7 +30,7 @@ GreedyMaxWeightController::GreedyMaxWeightController(Time delta, double day_over
     : delta_(delta), day_over_delta_(day_over_delta) {}
 
 std::optional<CircuitAssignment> GreedyMaxWeightController::next_assignment(
-    Time /*now*/, const Matrix& residual) {
+    Time /*now*/, const Matrix& residual, const PortLiveness& /*ports*/) {
   if (residual.max_entry() < kMinServiceQuantum) return std::nullopt;
   const AssignmentResult match = max_weight_assignment(residual);
   CircuitAssignment a;
@@ -66,7 +66,7 @@ std::optional<CircuitAssignment> GreedyMaxWeightController::next_assignment(
 AdaptiveRecoController::AdaptiveRecoController(Time delta) : delta_(delta) {}
 
 std::optional<CircuitAssignment> AdaptiveRecoController::next_assignment(
-    Time /*now*/, const Matrix& residual) {
+    Time /*now*/, const Matrix& residual, const PortLiveness& /*ports*/) {
   if (residual.max_entry() < kMinServiceQuantum) return std::nullopt;
   // Regularize + stuff the residual so a perfect matching exists, then take
   // one max-min extraction — Algorithm 1 re-planned against live state.
@@ -94,34 +94,16 @@ RecoveringController::RecoveringController(CircuitSchedule initial, Time delta, 
     : RecoveringController(std::make_unique<ReplayController>(std::move(initial)), delta,
                            policy, replan_deadline) {}
 
-void RecoveringController::mark_port(PortId port, PortSide side, bool failed) {
-  const auto size = static_cast<std::size_t>(port) + 1;
-  if (failed_in_.size() < size) failed_in_.resize(size, 0);
-  if (failed_out_.size() < size) failed_out_.resize(size, 0);
-  if (side == PortSide::kIngress || side == PortSide::kBoth) failed_in_[port] = failed;
-  if (side == PortSide::kEgress || side == PortSide::kBoth) failed_out_[port] = failed;
-}
-
-bool RecoveringController::any_port_failed() const {
-  for (const char f : failed_in_) {
-    if (f) return true;
-  }
-  for (const char f : failed_out_) {
-    if (f) return true;
-  }
-  return false;
-}
-
-void RecoveringController::on_port_failed(Time now, PortId port, PortSide side) {
-  mark_port(port, side, true);
+void RecoveringController::on_port_failed(Time now, PortId /*port*/, PortSide /*side*/,
+                                          const PortLiveness& /*ports*/) {
   if (!degraded_) degraded_since_ = now;
   degraded_ = true;
   replan_needed_ = true;
 }
 
-void RecoveringController::on_port_repaired(Time /*now*/, PortId port, PortSide side) {
-  mark_port(port, side, false);
-  if (replan_deadline_ > 0.0 && !recovery_.has_value() && !any_port_failed()) {
+void RecoveringController::on_port_repaired(Time /*now*/, PortId /*port*/, PortSide /*side*/,
+                                            const PortLiveness& ports) {
+  if (replan_deadline_ > 0.0 && !recovery_.has_value() && ports.ports_down() == 0) {
     // Hybrid grace window paid off: every port is back and no recovery plan
     // was ever built, so the original plan simply resumes — the fault cost
     // only the degraded interval, not a replan.
@@ -143,22 +125,26 @@ void RecoveringController::on_setup_degraded(Time /*now*/,
   replan_needed_ = true;
 }
 
-std::optional<CircuitAssignment> RecoveringController::next_assignment(Time now,
-                                                                       const Matrix& residual) {
-  if (!degraded_) return inner_->next_assignment(now, residual);
-  const auto down = [](const std::vector<char>& mask, int p) {
-    return p < static_cast<int>(mask.size()) && mask[p];
-  };
+std::optional<CircuitAssignment> RecoveringController::next_assignment(
+    Time now, const Matrix& residual, const PortLiveness& ports) {
+  if (!degraded_) {
+    auto next = inner_->next_assignment(now, residual, ports);
+    if (next.has_value()) return next;
+    // The inner plan ran dry.  After a grace window that paid off it may
+    // still owe the demand its fault-blocked circuits never carried, so
+    // the recovery planner serves whatever is left.
+    degraded_ = true;
+  }
   if (replan_deadline_ > 0.0 && !recovery_.has_value() && degraded_since_ >= 0.0 &&
       now + kTimeEps < degraded_since_ + replan_deadline_) {
     // Hybrid grace window: ride the old plan's surviving circuits while the
     // repair bet is still open.  A proposal with no live useful circuit
     // means waiting can only idle the fabric, so fall through and replan
     // early instead of burning the rest of the deadline.
-    auto next = inner_->next_assignment(now, residual);
+    auto next = inner_->next_assignment(now, residual, ports);
     if (next.has_value()) {
+      std::erase_if(next->circuits, [&](const Circuit& c) { return !ports.circuit_up(c); });
       for (const Circuit& c : next->circuits) {
-        if (down(failed_in_, c.in) || down(failed_out_, c.out)) continue;
         if (residual.at(c.in, c.out) >= kMinServiceQuantum) return next;
       }
     }
@@ -166,9 +152,9 @@ std::optional<CircuitAssignment> RecoveringController::next_assignment(Time now,
   }
   const auto deliverable = [&]() {
     for (int i = 0; i < residual.n(); ++i) {
-      if (down(failed_in_, i)) continue;
+      if (!ports.ingress_up(i)) continue;
       for (int j = 0; j < residual.n(); ++j) {
-        if (down(failed_out_, j)) continue;
+        if (!ports.egress_up(j)) continue;
         if (residual.at(i, j) >= kMinServiceQuantum) return true;
       }
     }
@@ -179,7 +165,7 @@ std::optional<CircuitAssignment> RecoveringController::next_assignment(Time now,
   for (int round = 0; round < 2; ++round) {
     if (replan_needed_ || !recovery_.has_value()) {
       if (!deliverable()) return std::nullopt;  // rest is stranded until repair
-      recovery_.emplace(reco_sin_surviving(residual, failed_in_, failed_out_, delta_, policy_));
+      recovery_.emplace(reco_sin_surviving(residual, ports, delta_, policy_));
       replan_needed_ = false;
       ++replans_;
       if (obs::enabled()) {
@@ -192,7 +178,7 @@ std::optional<CircuitAssignment> RecoveringController::next_assignment(Time now,
         obs::flight_recorder().trigger("recovering-controller replan");
       }
     }
-    auto next = recovery_->next_assignment(now, residual);
+    auto next = recovery_->next_assignment(now, residual, ports);
     if (next.has_value()) return next;
     replan_needed_ = true;  // plan exhausted; residual may still hold demand
   }

@@ -29,16 +29,22 @@ class CircuitController {
   virtual ~CircuitController() = default;
 
   /// Next establishment given the residual demand, or nullopt to stop.
-  /// `now` is the simulation clock at the decision instant.
-  virtual std::optional<CircuitAssignment> next_assignment(Time now,
-                                                           const Matrix& residual) = 0;
+  /// `now` is the simulation clock at the decision instant; `ports` is the
+  /// fabric's port liveness (owned by its fault injector — read it, never
+  /// copy it).
+  virtual std::optional<CircuitAssignment> next_assignment(Time now, const Matrix& residual,
+                                                           const PortLiveness& ports) = 0;
 
   /// Fault notifications from the fabric (no-ops by default, so existing
   /// controllers are fault-oblivious and simply see their dead circuits
-  /// filtered).  `on_setup_degraded` reports a setup that came up partial
-  /// (`established` is the latched subset) or failed entirely (empty).
-  virtual void on_port_failed(Time /*now*/, PortId /*port*/, PortSide /*side*/) {}
-  virtual void on_port_repaired(Time /*now*/, PortId /*port*/, PortSide /*side*/) {}
+  /// filtered).  The port hooks fire once per transition, with `ports`
+  /// already showing its change.  `on_setup_degraded` reports a setup that
+  /// came up partial (`established` is the latched subset) or failed
+  /// entirely (empty).
+  virtual void on_port_failed(Time /*now*/, PortId /*port*/, PortSide /*side*/,
+                              const PortLiveness& /*ports*/) {}
+  virtual void on_port_repaired(Time /*now*/, PortId /*port*/, PortSide /*side*/,
+                                const PortLiveness& /*ports*/) {}
   virtual void on_setup_degraded(Time /*now*/, const CircuitAssignment& /*requested*/,
                                  const std::vector<Circuit>& /*established*/) {}
 };
@@ -48,7 +54,8 @@ class CircuitController {
 class ReplayController final : public CircuitController {
  public:
   explicit ReplayController(CircuitSchedule schedule);
-  std::optional<CircuitAssignment> next_assignment(Time now, const Matrix& residual) override;
+  std::optional<CircuitAssignment> next_assignment(Time now, const Matrix& residual,
+                                                   const PortLiveness& ports) override;
 
  private:
   CircuitSchedule schedule_;
@@ -62,7 +69,8 @@ class GreedyMaxWeightController final : public CircuitController {
  public:
   /// day_over_delta <= 0 disables the day cap (hold until drained).
   GreedyMaxWeightController(Time delta, double day_over_delta = 0.0);
-  std::optional<CircuitAssignment> next_assignment(Time now, const Matrix& residual) override;
+  std::optional<CircuitAssignment> next_assignment(Time now, const Matrix& residual,
+                                                   const PortLiveness& ports) override;
 
  private:
   Time delta_;
@@ -75,7 +83,8 @@ class GreedyMaxWeightController final : public CircuitController {
 class AdaptiveRecoController final : public CircuitController {
  public:
   explicit AdaptiveRecoController(Time delta);
-  std::optional<CircuitAssignment> next_assignment(Time now, const Matrix& residual) override;
+  std::optional<CircuitAssignment> next_assignment(Time now, const Matrix& residual,
+                                                   const PortLiveness& ports) override;
 
  private:
   Time delta_;
@@ -98,7 +107,8 @@ class AdaptiveRecoController final : public CircuitController {
 /// riding the surviving circuits of the *old* plan for up to
 /// `replan_deadline` seconds, betting on a quick repair.  If every port
 /// comes back before the first recovery plan is built, service continues
-/// on the original plan with zero replans (wait-for-repair behavior); if
+/// on the original plan (wait-for-repair behavior), and a recovery plan is
+/// built only if it runs dry owing demand the outage blocked; if
 /// the deadline expires — or the old plan has no surviving useful circuit
 /// left, so waiting would only idle the fabric — the recovery planner
 /// takes over exactly as in the immediate-replan mode.  The deadline has
@@ -116,9 +126,11 @@ class RecoveringController final : public CircuitController {
                        BvnPolicy policy = BvnPolicy::kMaxMinAmortized,
                        Time replan_deadline = 0.0);
 
-  std::optional<CircuitAssignment> next_assignment(Time now, const Matrix& residual) override;
-  void on_port_failed(Time now, PortId port, PortSide side) override;
-  void on_port_repaired(Time now, PortId port, PortSide side) override;
+  std::optional<CircuitAssignment> next_assignment(Time now, const Matrix& residual,
+                                                   const PortLiveness& ports) override;
+  void on_port_failed(Time now, PortId port, PortSide side, const PortLiveness& ports) override;
+  void on_port_repaired(Time now, PortId port, PortSide side,
+                        const PortLiveness& ports) override;
   void on_setup_degraded(Time now, const CircuitAssignment& requested,
                          const std::vector<Circuit>& established) override;
 
@@ -126,15 +138,10 @@ class RecoveringController final : public CircuitController {
   int replans() const { return replans_; }
 
  private:
-  void mark_port(PortId port, PortSide side, bool failed);
-  bool any_port_failed() const;
-
   std::unique_ptr<CircuitController> inner_;
   Time delta_;
   BvnPolicy policy_;
   Time replan_deadline_;
-  std::vector<char> failed_in_;
-  std::vector<char> failed_out_;
   bool degraded_ = false;       ///< once true, the recovery planner owns the run
   bool replan_needed_ = false;
   Time degraded_since_ = -1.0;  ///< hybrid grace-window anchor (< 0: unset)

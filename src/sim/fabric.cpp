@@ -39,9 +39,9 @@ constexpr int kFabricTrack = -1;
 }  // namespace
 
 SimulationReport simulate_single_coflow(CircuitController& controller, const Matrix& demand,
-                                        Time delta, const FaultModel& faults) {
-  FaultInjector injector(faults);
-  return simulate_single_coflow(controller, demand, delta, injector);
+                                        Time delta) {
+  FaultInjector ideal;  // draws nothing: the fixed-delta switch
+  return simulate_single_coflow(controller, demand, delta, ideal);
 }
 
 SimulationReport simulate_single_coflow(CircuitController& controller, const Matrix& demand,
@@ -57,48 +57,27 @@ SimulationReport simulate_single_coflow(CircuitController& controller, const Mat
   std::vector<Time> busy_out(n, 0.0);
   EventQueue queue;
 
-  // Port liveness mirrors of the injector's state, maintained transition
-  // by transition so degraded time can be integrated interval-exactly.
-  std::vector<int> in_down(n, 0);
-  std::vector<int> out_down(n, 0);
-  int down_ports = 0;
-  Time degraded_mark = 0.0;
+  const PortLiveness& ports = injector.ports();
   bool degraded = false;         ///< a fault happened; next delivery is a recovery
   Time degraded_since = -1.0;    ///< for the recovery trace span
-  const auto circuit_live = [&](const Circuit& c) {
-    return in_down[c.in] == 0 && out_down[c.out] == 0;
-  };
 
-  // Pop the injector's port transitions up to `now`: integrate degraded
-  // time, update the masks, and notify the controller.  Faults land at
-  // decision granularity — a port failing mid-hold keeps its mirror angle
-  // until the next reconfiguration (flow-level semantics).
+  // Pop the injector's port transitions up to `now`, one at a time, and
+  // notify the controller of each.  Faults land at decision granularity —
+  // a port failing mid-hold keeps its mirror angle until the next
+  // reconfiguration (flow-level semantics).
   const auto apply_faults = [&](Time now) {
-    for (const PortTransition& t : injector.advance_to(now)) {
-      const Time at = std::max(t.at, 0.0);
-      if (down_ports > 0 && at > degraded_mark) report.degraded_time += at - degraded_mark;
-      degraded_mark = std::max(degraded_mark, at);
-      const int d = t.up ? -1 : 1;
-      const bool was_down = in_down[t.port] > 0 || out_down[t.port] > 0;
-      if (t.side == PortSide::kIngress || t.side == PortSide::kBoth) {
-        in_down[t.port] = std::max(0, in_down[t.port] + d);
-      }
-      if (t.side == PortSide::kEgress || t.side == PortSide::kBoth) {
-        out_down[t.port] = std::max(0, out_down[t.port] + d);
-      }
-      const bool now_down = in_down[t.port] > 0 || out_down[t.port] > 0;
-      if (!was_down && now_down) ++down_ports;
-      if (was_down && !now_down) --down_ports;
-      if (t.up) {
+    while (const auto t = injector.pop_transition(now)) {
+      const Time at = std::max(t->at, 0.0);
+      if (t->up) {
         ++report.port_repairs;
         if (obs::enabled()) {
           obs::metrics().counter("faults.port_repairs").inc();
           obs::tracer().sim_instant("port.repair", "sim.fault", at, kFabricTrack,
-                                    {{"port", static_cast<double>(t.port)}});
-          obs::flight_recorder().record("port_repair", at, t.port,
-                                        static_cast<double>(t.side));
+                                    {{"port", static_cast<double>(t->port)}});
+          obs::flight_recorder().record("port_repair", at, t->port,
+                                        static_cast<double>(t->side));
         }
-        controller.on_port_repaired(at, t.port, t.side);
+        controller.on_port_repaired(at, t->port, t->side, ports);
       } else {
         ++report.port_failures;
         degraded = true;
@@ -106,15 +85,13 @@ SimulationReport simulate_single_coflow(CircuitController& controller, const Mat
         if (obs::enabled()) {
           obs::metrics().counter("faults.port_failures").inc();
           obs::tracer().sim_instant("port.fail", "sim.fault", at, kFabricTrack,
-                                    {{"port", static_cast<double>(t.port)}});
-          obs::flight_recorder().record("port_fail", at, t.port,
-                                        static_cast<double>(t.side));
+                                    {{"port", static_cast<double>(t->port)}});
+          obs::flight_recorder().record("port_fail", at, t->port,
+                                        static_cast<double>(t->side));
         }
-        controller.on_port_failed(at, t.port, t.side);
+        controller.on_port_failed(at, t->port, t->side, ports);
       }
     }
-    if (down_ports > 0 && now > degraded_mark) report.degraded_time += now - degraded_mark;
-    degraded_mark = std::max(degraded_mark, now);
   };
 
   // Terminal guard: a controller that keeps proposing establishments the
@@ -131,7 +108,7 @@ SimulationReport simulate_single_coflow(CircuitController& controller, const Mat
   std::function<void()> decide = [&]() {
     const Time now = queue.now();
     apply_faults(now);
-    const auto next = controller.next_assignment(now, residual);
+    const auto next = controller.next_assignment(now, residual, ports);
     if (!next.has_value()) {
       // Controller stopped.  If deliverable-later demand remains and a
       // repair is pending, idle until the repair and ask again; otherwise
@@ -152,7 +129,7 @@ SimulationReport simulate_single_coflow(CircuitController& controller, const Mat
     live.reserve(assignment.circuits.size());
     Time max_rem = 0.0;
     for (const Circuit& c : assignment.circuits) {
-      if (!circuit_live(c)) continue;
+      if (!ports.circuit_up(c)) continue;
       live.push_back(c);
       const Time rem = residual.at(c.in, c.out);
       if (rem >= kMinServiceQuantum) max_rem = std::max(max_rem, rem);
@@ -284,9 +261,7 @@ SimulationReport simulate_single_coflow(CircuitController& controller, const Mat
               return a.completed_at < b.completed_at;
             });
   report.cct = queue.now();
-  if (down_ports > 0 && report.cct > degraded_mark) {
-    report.degraded_time += report.cct - degraded_mark;
-  }
+  report.degraded_time = ports.degraded_time(report.cct);
   report.satisfied = residual.max_entry() < kMinServiceQuantum;
   report.stranded_demand = residual.total();
   report.avg_port_utilization = utilization(busy_in, busy_out, report.cct);
@@ -306,7 +281,7 @@ SimulationReport simulate_single_coflow(CircuitController& controller, const Mat
 
 SimulationReport simulate_not_all_stop_replay(const CircuitSchedule& schedule,
                                               const Matrix& demand, Time delta,
-                                              const FaultModel& faults) {
+                                              const FaultConfig& faults) {
   obs::ScopedSpan span("sim.not_all_stop_replay", "sim");
   FaultInjector injector(faults);  // validates; default = ideal switch
   SimulationReport report;

@@ -53,21 +53,23 @@ struct SimulationReport {
 };
 
 /// Run one coflow on an all-stop OCS under `controller` until the
-/// controller stops or the demand drains.  The FaultModel overload is the
-/// legacy timing-only policy; the FaultInjector overload adds port
-/// failures, partial setups, and bounded setup retries (see sim/faults.hpp).
+/// controller stops or the demand drains.  The first overload is the ideal
+/// switch; the FaultInjector overload runs under its FaultConfig — port
+/// failures, partial setups, setup timing faults and bounded retries (see
+/// sim/faults.hpp) — and reads port liveness from the injector alone.
 SimulationReport simulate_single_coflow(CircuitController& controller, const Matrix& demand,
-                                        Time delta, const FaultModel& faults = {});
+                                        Time delta);
 SimulationReport simulate_single_coflow(CircuitController& controller, const Matrix& demand,
                                         Time delta, FaultInjector& injector);
 
 /// Event-driven replay of a precomputed schedule on a not-all-stop OCS
 /// (per-port reconfiguration; unchanged circuits keep transmitting).
-/// Accepts the same timing fault model as the all-stop path so the two are
-/// symmetric; the default is the ideal switch.
+/// Samples every circuit setup from `faults` like the all-stop path (its
+/// port faults do not apply: ports reconfigure independently here); the
+/// default is the ideal switch.
 SimulationReport simulate_not_all_stop_replay(const CircuitSchedule& schedule,
                                               const Matrix& demand, Time delta,
-                                              const FaultModel& faults = {});
+                                              const FaultConfig& faults = {});
 
 /// Multi-coflow slice replay with runtime port-constraint enforcement.
 struct SliceReplayReport {

@@ -28,24 +28,20 @@ PortSide parse_side(const std::string& token) {
 
 }  // namespace
 
-void validate_fault_model(const FaultModel& model) {
-  if (!(model.jitter_fraction >= 0.0) || !std::isfinite(model.jitter_fraction)) {
-    throw std::invalid_argument("FaultModel: jitter_fraction must be finite and >= 0, got " +
-                                std::to_string(model.jitter_fraction));
-  }
-  if (!(model.retry_probability >= 0.0) || model.retry_probability >= 1.0) {
-    throw std::invalid_argument(
-        "FaultModel: retry_probability must be in [0, 1) (>= 1 retries forever), got " +
-        std::to_string(model.retry_probability));
-  }
-  if (model.max_attempts < 1) {
-    throw std::invalid_argument("FaultModel: max_attempts must be >= 1, got " +
-                                std::to_string(model.max_attempts));
-  }
-}
-
 void validate_fault_config(const FaultConfig& config) {
-  validate_fault_model(config.timing);
+  if (!(config.jitter_fraction >= 0.0) || !std::isfinite(config.jitter_fraction)) {
+    throw std::invalid_argument("FaultConfig: jitter_fraction must be finite and >= 0, got " +
+                                std::to_string(config.jitter_fraction));
+  }
+  if (!(config.retry_probability >= 0.0) || config.retry_probability >= 1.0) {
+    throw std::invalid_argument(
+        "FaultConfig: retry_probability must be in [0, 1) (>= 1 retries forever), got " +
+        std::to_string(config.retry_probability));
+  }
+  if (config.max_attempts < 1) {
+    throw std::invalid_argument("FaultConfig: max_attempts must be >= 1, got " +
+                                std::to_string(config.max_attempts));
+  }
   if (bad_probability(config.setup_timeout_probability)) {
     throw std::invalid_argument("FaultConfig: setup_timeout_probability must be in [0, 1]");
   }
@@ -87,17 +83,6 @@ FaultInjector::FaultInjector(FaultConfig config)
   validate_fault_config(config_);
 }
 
-namespace {
-FaultConfig legacy_config(const FaultModel& legacy) {
-  FaultConfig config;
-  config.timing = legacy;
-  config.seed = legacy.seed;  // the historical FaultModel seed is the stream
-  return config;
-}
-}  // namespace
-
-FaultInjector::FaultInjector(const FaultModel& legacy) : FaultInjector(legacy_config(legacy)) {}
-
 void FaultInjector::push_fault(const PortFault& fault) {
   Pending down;
   down.t = {fault.at, fault.port, fault.side, /*up=*/false};
@@ -114,9 +99,7 @@ void FaultInjector::push_fault(const PortFault& fault) {
 void FaultInjector::bind_ports(int num_ports) {
   if (bound_) return;
   bound_ = true;
-  num_ports_ = num_ports;
-  ingress_down_.assign(num_ports, 0);
-  egress_down_.assign(num_ports, 0);
+  ports_ = PortLiveness(num_ports);
   for (const PortFault& f : config_.port_faults) {
     if (f.port >= num_ports) {
       throw std::invalid_argument("fault trace references port " + std::to_string(f.port) +
@@ -138,50 +121,42 @@ void FaultInjector::bind_ports(int num_ports) {
   });
 }
 
-void FaultInjector::apply(const PortTransition& t) {
-  const int d = t.up ? -1 : 1;
-  const bool was_down = ingress_down_[t.port] > 0 || egress_down_[t.port] > 0;
-  if (t.side == PortSide::kIngress || t.side == PortSide::kBoth) {
-    ingress_down_[t.port] = std::max(0, ingress_down_[t.port] + d);
+std::optional<PortTransition> FaultInjector::pop_transition(Time now) {
+  if (pending_.empty() || pending_.front().t.at > now + kTimeEps) {
+    ports_.advance(now);
+    return std::nullopt;
   }
-  if (t.side == PortSide::kEgress || t.side == PortSide::kBoth) {
-    egress_down_[t.port] = std::max(0, egress_down_[t.port] + d);
+  const Pending p = pending_.front();
+  pending_.erase(pending_.begin());
+  ports_.apply(std::max(p.t.at, 0.0), p.t.port, p.t.side, p.t.up);
+  if (p.random) {
+    // Continue the port's renewal process: failure -> repair (if MTTR is
+    // configured) -> next failure.  Streams stay in pop order, which is
+    // deterministic by (time, seq).
+    Pending next;
+    next.seq = next_seq_++;
+    next.random = true;
+    if (!p.t.up && config_.port_mttr > 0.0) {
+      next.t = {p.t.at + exponential(port_rng_, config_.port_mttr), p.t.port, p.t.side,
+                /*up=*/true};
+    } else if (p.t.up) {
+      next.t = {p.t.at + exponential(port_rng_, config_.port_mtbf), p.t.port, p.t.side,
+                /*up=*/false};
+    } else {
+      return p.t;  // permanent random failure: the process for this port ends
+    }
+    const auto pos = std::upper_bound(
+        pending_.begin(), pending_.end(), next, [](const Pending& a, const Pending& b) {
+          return a.t.at != b.t.at ? a.t.at < b.t.at : a.seq < b.seq;
+        });
+    pending_.insert(pos, next);
   }
-  const bool now_down = ingress_down_[t.port] > 0 || egress_down_[t.port] > 0;
-  if (!was_down && now_down) ++ports_down_;
-  if (was_down && !now_down) --ports_down_;
+  return p.t;
 }
 
 std::vector<PortTransition> FaultInjector::advance_to(Time now) {
   std::vector<PortTransition> out;
-  while (!pending_.empty() && pending_.front().t.at <= now + kTimeEps) {
-    const Pending p = pending_.front();
-    pending_.erase(pending_.begin());
-    apply(p.t);
-    out.push_back(p.t);
-    if (p.random) {
-      // Continue the port's renewal process: failure -> repair (if MTTR is
-      // configured) -> next failure.  Streams stay in pop order, which is
-      // deterministic by (time, seq).
-      Pending next;
-      next.seq = next_seq_++;
-      next.random = true;
-      if (!p.t.up && config_.port_mttr > 0.0) {
-        next.t = {p.t.at + exponential(port_rng_, config_.port_mttr), p.t.port, p.t.side,
-                  /*up=*/true};
-      } else if (p.t.up) {
-        next.t = {p.t.at + exponential(port_rng_, config_.port_mtbf), p.t.port, p.t.side,
-                  /*up=*/false};
-      } else {
-        continue;  // permanent random failure: the process for this port ends
-      }
-      const auto pos = std::upper_bound(
-          pending_.begin(), pending_.end(), next, [](const Pending& a, const Pending& b) {
-            return a.t.at != b.t.at ? a.t.at < b.t.at : a.seq < b.seq;
-          });
-      pending_.insert(pos, next);
-    }
-  }
+  while (const auto t = pop_transition(now)) out.push_back(*t);
   return out;
 }
 
@@ -197,28 +172,17 @@ std::optional<Time> FaultInjector::next_repair() const {
   return std::nullopt;
 }
 
-bool FaultInjector::ingress_up(PortId port) const {
-  if (port < 0 || port >= static_cast<PortId>(ingress_down_.size())) return true;
-  return ingress_down_[port] == 0;
-}
-
-bool FaultInjector::egress_up(PortId port) const {
-  if (port < 0 || port >= static_cast<PortId>(egress_down_.size())) return true;
-  return egress_down_[port] == 0;
-}
-
 SetupOutcome FaultInjector::sample_setup(Time delta, const std::vector<Circuit>& requested) {
   SetupOutcome out;
-  const FaultModel& timing = config_.timing;
   out.attempts = 0;
   while (true) {
     ++out.attempts;
-    // Draw order matches the legacy sampler exactly (jitter, then retry)
-    // so timing-only configs replay the historical fault stream bit for
-    // bit; the timeout draw sits between them but costs nothing when off.
+    // Fixed draw order per attempt — jitter, timeout, retry — with the
+    // draw skipped for each fault that is off, so a config replays one
+    // stream and timing-only configs never consume a timeout draw.
     double slowdown = 1.0;
-    if (timing.jitter_fraction > 0.0) {
-      slowdown += timing.jitter_fraction * setup_rng_.uniform();
+    if (config_.jitter_fraction > 0.0) {
+      slowdown += config_.jitter_fraction * setup_rng_.uniform();
     }
     out.setup_time += delta * slowdown;
     bool timed_out = false;
@@ -227,17 +191,17 @@ SetupOutcome FaultInjector::sample_setup(Time delta, const std::vector<Circuit>&
       timed_out = true;
     }
     bool retry = false;
-    if (timing.retry_probability > 0.0 && setup_rng_.uniform() < timing.retry_probability) {
+    if (config_.retry_probability > 0.0 && setup_rng_.uniform() < config_.retry_probability) {
       retry = true;
     }
     if (!timed_out && !retry) break;
-    if (out.attempts >= timing.max_attempts) {
+    if (out.attempts >= config_.max_attempts) {
       out.established = false;  // budget exhausted: failed, not looping
       return out;
     }
     if (timed_out) {
-      // Bounded exponential backoff before the next attempt.  Legacy
-      // geometric retries repeat immediately (historical semantics).
+      // Bounded exponential backoff before the next attempt.  Geometric
+      // retries repeat immediately.
       const double k = std::min(std::pow(config_.backoff_factor, out.attempts - 1),
                                 config_.backoff_cap);
       out.setup_time += delta * k;
@@ -280,7 +244,7 @@ void load_rng(SnapshotReader& in, Rng& rng) {
 void FaultInjector::save_state(SnapshotWriter& out) const {
   save_rng(out, setup_rng_);
   save_rng(out, port_rng_);
-  out.put_i32(num_ports_);
+  out.put_i32(ports_.num_ports());
   out.put_bool(bound_);
   out.put_u64(pending_.size());
   for (const Pending& p : pending_) {
@@ -292,25 +256,26 @@ void FaultInjector::save_state(SnapshotWriter& out) const {
     out.put_bool(p.random);
   }
   out.put_u64(next_seq_);
-  out.put_u64(ingress_down_.size());
-  for (const int d : ingress_down_) out.put_i32(d);
-  out.put_u64(egress_down_.size());
-  for (const int d : egress_down_) out.put_i32(d);
-  out.put_i32(ports_down_);
+  ports_.save(out);
 }
 
 void FaultInjector::load_state(SnapshotReader& in) {
   load_rng(in, setup_rng_);
   load_rng(in, port_rng_);
-  num_ports_ = in.get_i32();
+  const int num_ports = in.get_i32();
+  if (num_ports < 0) throw std::runtime_error("FaultInjector::load_state: negative port count");
   bound_ = in.get_bool();
   pending_.clear();
   const std::uint64_t pending = in.get_u64();
-  pending_.reserve(pending);
   for (std::uint64_t k = 0; k < pending; ++k) {
     Pending p;
     p.t.at = in.get_f64();
     p.t.port = in.get_i32();
+    if (p.t.port < 0 || p.t.port >= num_ports) {
+      throw std::runtime_error("FaultInjector::load_state: pending transition names port " +
+                               std::to_string(p.t.port) + " of a " +
+                               std::to_string(num_ports) + "-port fabric");
+    }
     const std::uint8_t side = in.get_u8();
     if (side > static_cast<std::uint8_t>(PortSide::kBoth)) {
       throw std::runtime_error("FaultInjector::load_state: bad port side");
@@ -322,11 +287,7 @@ void FaultInjector::load_state(SnapshotReader& in) {
     pending_.push_back(p);
   }
   next_seq_ = in.get_u64();
-  ingress_down_.resize(in.get_u64());
-  for (int& d : ingress_down_) d = in.get_i32();
-  egress_down_.resize(in.get_u64());
-  for (int& d : egress_down_) d = in.get_i32();
-  ports_down_ = in.get_i32();
+  ports_.load(in, num_ports);
 }
 
 std::vector<PortFault> parse_fault_trace(std::istream& in, int num_ports) {

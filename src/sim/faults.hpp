@@ -2,8 +2,7 @@
 // circuit setups, and bounded reconfiguration retries, all behind one
 // deterministic seeded FaultInjector.
 //
-// The legacy timing-only FaultModel (jitter + geometric retry) is one
-// policy among several here: a FaultConfig composes
+// One FaultConfig describes every fault the simulators know:
 //  * scripted *port faults* (a fault trace: port p goes down at time t,
 //    optionally repaired after a delay) and random ones (per-port MTBF /
 //    MTTR exponential processes),
@@ -11,14 +10,17 @@
 //    to latch (the circuit comes up partial) and whole reconfiguration
 //    attempts time out, retried under bounded exponential backoff; when
 //    the attempt budget is exhausted the setup is *failed*, never looped,
-//  * the legacy jitter / geometric-retry timing model, now with a hard
-//    attempt cap and validated parameters.
+//  * setup *timing* faults — jitter on every setup and geometric retries
+//    of failed attempts, under the same attempt cap.
+//
+// The injector owns the run's only port-liveness state (core/
+// port_liveness.hpp); fabrics and controllers read it, none keeps a copy.
 //
 // Determinism: every random stream derives from FaultConfig::seed alone
 // and is consumed in simulation-event order, so a (config, workload) pair
 // replays the identical fault timeline at any RECO_THREADS setting.  The
-// default FaultConfig (and default FaultModel) draws nothing and
-// reproduces the ideal fixed-delta switch bit for bit.
+// default FaultConfig draws nothing and reproduces the ideal fixed-delta
+// switch bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -29,32 +31,12 @@
 #include <vector>
 
 #include "core/circuit.hpp"
+#include "core/port_liveness.hpp"
 #include "core/snapshot.hpp"
 #include "core/types.hpp"
 #include "trace/rng.hpp"
 
 namespace reco::sim {
-
-/// Fault model for reconfigurations (MEMS mirrors are not metronomes):
-/// every reconfiguration takes delta * (1 + U[0, jitter_fraction]), and
-/// with probability retry_probability it fails and must be repeated
-/// (geometrically, capped at max_attempts).  The defaults reproduce the
-/// ideal fixed-delta switch.
-struct FaultModel {
-  double jitter_fraction = 0.0;     ///< worst-case slowdown per setup
-  double retry_probability = 0.0;   ///< P(one setup attempt fails)
-  std::uint64_t seed = 1;           ///< deterministic fault stream
-  /// Hard cap on attempts per setup; exhausting it marks the setup failed
-  /// instead of looping (the pre-cap code could spin forever at p >= 1).
-  int max_attempts = 64;
-};
-
-/// Throws std::invalid_argument on out-of-range parameters: negative
-/// jitter, retry_probability outside [0, 1), max_attempts < 1.
-void validate_fault_model(const FaultModel& model);
-
-/// Which side of the fabric a port fault hits.
-enum class PortSide : std::uint8_t { kIngress, kEgress, kBoth };
 
 /// One scripted port fault: at `at`, `port` (on `side`) goes dark; it is
 /// repaired `repair_after` seconds later, or never if repair_after < 0.
@@ -68,8 +50,14 @@ struct PortFault {
 /// Full fault-injection configuration.  Everything defaults to "off"; the
 /// default config is the ideal switch.
 struct FaultConfig {
-  /// Legacy timing faults (validated on construction of the injector).
-  FaultModel timing;
+  /// Setup timing (MEMS mirrors are not metronomes): every attempt takes
+  /// delta * (1 + U[0, jitter_fraction]), and with probability
+  /// retry_probability it fails and repeats at once (geometrically).
+  double jitter_fraction = 0.0;    ///< worst-case slowdown per attempt
+  double retry_probability = 0.0;  ///< P(one setup attempt fails)
+  /// Hard cap on attempts per setup, shared by retries and timeouts;
+  /// exhausting it marks the setup failed instead of looping.
+  int max_attempts = 64;
 
   /// Scripted port faults (see parse_fault_trace for the text format).
   std::vector<PortFault> port_faults;
@@ -95,7 +83,8 @@ struct FaultConfig {
 };
 
 /// Throws std::invalid_argument on out-of-range parameters (probabilities
-/// outside their domain, negative times, backoff_factor < 1, ...).
+/// outside their domain, retry_probability >= 1 — it would retry forever —
+/// negative jitter or times, max_attempts < 1, backoff_factor < 1, ...).
 void validate_fault_config(const FaultConfig& config);
 
 /// One port state change, reported to the fabric in time order.
@@ -125,35 +114,31 @@ class FaultInjector {
   /// Validates `config` (throws std::invalid_argument on bad parameters).
   explicit FaultInjector(FaultConfig config);
 
-  /// Legacy policy: the timing-only FaultModel, validated.
-  explicit FaultInjector(const FaultModel& legacy);
-
   /// Bind the injector to an n-port fabric: materializes the random port
   /// failure streams and checks scripted faults against the port range.
   /// Called by the simulators at start; idempotent (first call wins).
   void bind_ports(int num_ports);
 
-  /// Pop every port transition with `at <= now`, in time order, updating
-  /// the up/down state.  The fabric applies these to its masks and
-  /// notifies the controller.
+  /// Apply the earliest pending port transition with `at <= now` to
+  /// ports() and return it.  Once none is left, integrate degraded time up
+  /// to `now` and return nullopt.  Popping one transition at a time lets a
+  /// controller hook see the state right after its own change.
+  std::optional<PortTransition> pop_transition(Time now);
+  /// Pop every transition up to `now`, in time order.
   std::vector<PortTransition> advance_to(Time now);
 
   /// Earliest pending transition of any kind / of repairs only.
   std::optional<Time> next_transition() const;
   std::optional<Time> next_repair() const;
 
-  /// Current port state (after the last advance_to).
-  bool ingress_up(PortId port) const;
-  bool egress_up(PortId port) const;
-  bool circuit_ports_up(const Circuit& c) const {
-    return ingress_up(c.in) && egress_up(c.out);
-  }
-  int ports_down() const { return ports_down_; }
+  /// Current port state (after the last pop_transition / advance_to),
+  /// with the degraded-time integral.  The only liveness state of a run.
+  const PortLiveness& ports() const { return ports_; }
 
   /// Sample one establishment of `requested` taking nominal time `delta`.
   /// Consumes: per attempt, one jitter draw (iff jitter_fraction > 0), one
-  /// timeout draw (iff setup_timeout_probability > 0), one legacy retry
-  /// draw (iff retry_probability > 0); on success one draw per requested
+  /// timeout draw (iff setup_timeout_probability > 0), one retry draw (iff
+  /// retry_probability > 0); on success one draw per requested
   /// circuit (iff crosspoint_failure_probability > 0) — so the default
   /// config consumes nothing and returns exactly delta.
   SetupOutcome sample_setup(Time delta, const std::vector<Circuit>& requested);
@@ -161,23 +146,22 @@ class FaultInjector {
   const FaultConfig& config() const { return config_; }
 
   /// Serialize the mutable mid-run state: both RNG stream positions, the
-  /// pending renewal-process transitions, and the port up/down counters.
+  /// pending transitions, and the port liveness state.
   /// The FaultConfig itself is NOT serialized — load_state requires an
-  /// injector constructed from the same config (the checkpoint modules
-  /// store a config fingerprint alongside and verify it), after which the
+  /// injector constructed from the same config, after which the
   /// restored injector replays the exact fault timeline the saved one
-  /// would have produced.
+  /// would have produced.  load_state throws std::runtime_error on a
+  /// snapshot whose pending transitions name a port outside the fabric or
+  /// whose liveness arrays do not match its port count.
   void save_state(SnapshotWriter& out) const;
   void load_state(SnapshotReader& in);
 
  private:
   void push_fault(const PortFault& fault);
-  void apply(const PortTransition& t);
 
   FaultConfig config_;
   Rng setup_rng_;
   Rng port_rng_;
-  int num_ports_ = 0;
   bool bound_ = false;
   // Pending transitions, kept sorted by (at, seq) — fault counts are tens
   // to thousands per run, a sorted vector beats a heap's constant here.
@@ -188,11 +172,7 @@ class FaultInjector {
   };
   std::vector<Pending> pending_;
   std::uint64_t next_seq_ = 0;
-  // Down-counters instead of booleans: overlapping scripted faults on the
-  // same port stack, and the port is up only when every fault cleared.
-  std::vector<int> ingress_down_;
-  std::vector<int> egress_down_;
-  int ports_down_ = 0;
+  PortLiveness ports_;
 };
 
 /// Parse a scripted fault trace, one fault per line:

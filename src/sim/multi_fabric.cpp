@@ -15,9 +15,7 @@ std::optional<MultiAssignment> GreedyPriorityController::next_assignment(
   const std::vector<Matrix>& residuals = *view.residuals;
   const int num_coflows = static_cast<int>(residuals.size());
   if (served_.size() != residuals.size()) served_.resize(residuals.size(), 0.0);
-  const auto port_dead = [&](const std::vector<char>* mask, int p) {
-    return mask != nullptr && p < static_cast<int>(mask->size()) && (*mask)[p];
-  };
+  const PortLiveness& ports = *view.ports;
 
   // Schedulable coflows, by the chosen priority over *live* state.
   std::vector<int> order;
@@ -59,9 +57,9 @@ std::optional<MultiAssignment> GreedyPriorityController::next_assignment(
     };
     std::vector<Candidate> candidates;
     for (int i = 0; i < n; ++i) {
-      if (in_used[i] || port_dead(view.failed_in, i)) continue;
+      if (in_used[i] || !ports.ingress_up(i)) continue;
       for (int j = 0; j < n; ++j) {
-        if (out_used[j] || port_dead(view.failed_out, j)) continue;
+        if (out_used[j] || !ports.egress_up(j)) continue;
         const Time rem = residuals[k].at(i, j);
         if (rem >= kMinServiceQuantum) candidates.push_back({i, j, rem});
       }
@@ -130,52 +128,18 @@ MultiFabricReport simulate_multi_coflow(MultiCoflowController& controller,
   int n = 0;
   for (const Coflow& c : coflows) n = std::max(n, c.demand.n());
   injector.bind_ports(n);
-  std::vector<char> failed_in(n, 0);
-  std::vector<char> failed_out(n, 0);
-  std::vector<int> in_down(n, 0);
-  std::vector<int> out_down(n, 0);
-  int down_marks = 0;        // set mask entries across both sides
-  Time degraded_since = 0.0;
+  const PortLiveness& ports = injector.ports();
 
-  // Pop every injector transition up to `now`, mirroring port state into
-  // the masks the view exposes and integrating degraded time exactly
-  // (interval by interval, not per batch).
+  // Pop every injector transition up to `now`; the injector's liveness
+  // state integrates degraded time interval by interval.
   const auto apply_faults = [&](Time now) {
     for (const PortTransition& t : injector.advance_to(now)) {
-      const Time at = std::min(std::max(t.at, Time{0.0}), now);
-      const auto touch = [&](std::vector<int>& down, std::vector<char>& mask, int p) {
-        if (p < 0 || p >= n) return;
-        if (t.up) {
-          if (down[p] > 0 && --down[p] == 0) {
-            mask[p] = 0;
-            --down_marks;
-          }
-        } else {
-          if (down[p]++ == 0) {
-            mask[p] = 1;
-            if (down_marks++ == 0) degraded_since = at;
-          }
-        }
-      };
-      const bool was_degraded = down_marks > 0;
-      if (t.side == PortSide::kIngress || t.side == PortSide::kBoth) {
-        touch(in_down, failed_in, t.port);
-      }
-      if (t.side == PortSide::kEgress || t.side == PortSide::kBoth) {
-        touch(out_down, failed_out, t.port);
-      }
-      if (was_degraded && down_marks == 0) {
-        report.degraded_time += std::max(Time{0.0}, at - degraded_since);
-      }
       if (t.up) {
         ++report.port_repairs;
       } else {
         ++report.port_failures;
       }
     }
-  };
-  const auto port_dead = [&](const std::vector<char>& mask, int p) {
-    return p >= 0 && p < static_cast<int>(mask.size()) && mask[p];
   };
 
   Time clock = 0.0;
@@ -216,8 +180,7 @@ MultiFabricReport simulate_multi_coflow(MultiCoflowController& controller,
     view.arrived = &arrived;
     view.finished = &finished;
     view.weights = &weights;
-    view.failed_in = &failed_in;
-    view.failed_out = &failed_out;
+    view.ports = &ports;
     const auto decision = controller.next_assignment(view);
     ++report.events;
 
@@ -227,7 +190,7 @@ MultiFabricReport simulate_multi_coflow(MultiCoflowController& controller,
       // means the run is over (leftover demand is stranded).
       std::optional<Time> wake;
       if (next_arrival < by_arrival.size()) wake = coflows[by_arrival[next_arrival]].arrival;
-      if (down_marks > 0) {
+      if (ports.ports_down() > 0) {
         if (const auto r = injector.next_repair();
             r.has_value() && (!wake.has_value() || *r < *wake)) {
           wake = *r;
@@ -248,7 +211,7 @@ MultiFabricReport simulate_multi_coflow(MultiCoflowController& controller,
       const Circuit& circuit = decision->circuits[c];
       const int k = decision->coflow_of[c];
       if (k < 0 || k >= num_coflows || !arrived[k] || finished[k]) continue;
-      if (port_dead(failed_in, circuit.in) || port_dead(failed_out, circuit.out)) continue;
+      if (!ports.circuit_up(circuit)) continue;
       requested.push_back(circuit);
       requested_coflow.push_back(k);
       max_rem = std::max(max_rem, residuals[k].at(circuit.in, circuit.out));
@@ -325,9 +288,7 @@ MultiFabricReport simulate_multi_coflow(MultiCoflowController& controller,
     report.makespan = std::max(report.makespan, clock);
   }
 
-  if (down_marks > 0) {
-    report.degraded_time += std::max(Time{0.0}, clock - degraded_since);
-  }
+  report.degraded_time = ports.degraded_time(clock);
   report.all_served = remaining == 0;
   for (int k = 0; k < num_coflows; ++k) {
     report.total_weighted_cct += coflows[k].weight * report.cct[k];

@@ -15,6 +15,7 @@
 #include "core/circuit.hpp"
 #include "core/coflow.hpp"
 #include "core/matrix.hpp"
+#include "core/port_liveness.hpp"
 #include "core/types.hpp"
 #include "sim/faults.hpp"
 
@@ -40,11 +41,10 @@ struct FabricView {
   const std::vector<char>* finished = nullptr;
   /// Coflow weights (latency sensitivity), index-aligned with residuals.
   const std::vector<double>* weights = nullptr;
-  /// Port liveness under fault injection (null on an ideal fabric):
-  /// failed_in[p] != 0 means ingress p is dark.  Controllers should avoid
-  /// dead ports; the fabric filters them regardless.
-  const std::vector<char>* failed_in = nullptr;
-  const std::vector<char>* failed_out = nullptr;
+  /// Port liveness, owned by the run's fault injector (all up on an ideal
+  /// fabric).  Controllers should avoid dead ports; the fabric filters them
+  /// regardless.
+  const PortLiveness* ports = nullptr;
 };
 
 /// Online multi-coflow decision policy.

@@ -281,7 +281,7 @@ void OnlineDaemon::on_arrival(Time now) {
   // lookahead; its arrival event then delivers nothing and must not cut.
   if (admitted == 0) return;
 
-  if (running_ && core_.policy().preempt_on_arrival()) {
+  if (running_ && preempts_on_arrival(core_.kind())) {
     // Drain-replan: cut the running plan *now*.  Slices already started
     // keep running (the kept prefix); everything else is cancelled and the
     // residual set — plus the newcomer(s) — is replanned once the kept
@@ -315,7 +315,7 @@ void OnlineDaemon::on_complete(Time now, std::uint64_t gen) {
   if (gen != gen_) return;
   last_activity_ = now;
   running_ = false;
-  if (core_.policy().preempt_on_arrival()) {
+  if (preempts_on_arrival(core_.kind())) {
     // No arrival cut this plan: commit it whole.  Every batch coflow
     // drains, so the fabric goes idle until the next arrival event.
     core_.commit(std::numeric_limits<Time>::infinity());
@@ -360,10 +360,10 @@ void OnlineDaemon::schedule_next_sample() {
 void OnlineDaemon::start_if_idle(Time now) {
   if (running_ || core_.idle()) return;
   running_ = true;
-  if (core_.policy().serialize_batch()) {
+  if (serializes_batch(core_.kind())) {
     const Time done = core_.step_fifo(now);
     schedule_event(EventKind::kFifoDone, std::max(done, now), gen_);
-  } else if (core_.policy().preempt_on_arrival()) {
+  } else if (preempts_on_arrival(core_.kind())) {
     // Plan and *hold*: commit happens either at the cut (an arrival) or at
     // the completion event if nothing interrupts.
     plan_base_ = now;

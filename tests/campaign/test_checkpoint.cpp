@@ -213,7 +213,74 @@ TEST(Snapshot, FaultInjectorMidRunSaveLoadReplaysTheTimeline) {
     EXPECT_EQ(sa.established, sb.established);
     EXPECT_EQ(sa.established_circuits.size(), sb.established_circuits.size());
   }
-  EXPECT_EQ(original.ports_down(), restored.ports_down());
+  EXPECT_EQ(original.ports().ports_down(), restored.ports().ports_down());
+  EXPECT_EQ(bits_of(original.ports().degraded_time(5.0)),
+            bits_of(restored.ports().degraded_time(5.0)));
+}
+
+/// A digest-valid FaultInjector snapshot for a 4-port fabric written field
+/// by field, with one pending transition on `pending_port` and
+/// `counters_len` down-counters per side.
+std::string injector_snapshot(PortId pending_port, std::uint64_t counters_len) {
+  SnapshotWriter w;
+  for (int stream = 0; stream < 2; ++stream) {  // setup and port RNG streams
+    for (std::uint64_t k = 1; k <= 4; ++k) w.put_u64(k);
+    w.put_bool(false);
+    w.put_u64(0);
+  }
+  w.put_i32(4);  // num_ports
+  w.put_bool(true);
+  w.put_u64(1);  // one pending transition
+  w.put_f64(0.5);
+  w.put_i32(pending_port);
+  w.put_u8(static_cast<std::uint8_t>(PortSide::kBoth));
+  w.put_bool(false);
+  w.put_u64(0);
+  w.put_bool(false);
+  w.put_u64(1);  // next_seq
+  for (int side = 0; side < 2; ++side) {
+    w.put_u64(counters_len);
+    for (std::uint64_t p = 0; p < counters_len; ++p) w.put_i32(0);
+  }
+  w.put_f64(0.0);  // degraded time
+  w.put_f64(0.0);  // integration mark
+  std::ostringstream out;
+  w.finish(out, kTestMagic, 1);
+  return out.str();
+}
+
+std::string load_injector_error(const std::string& bytes) {
+  return error_of([&] {
+    sim::FaultInjector injector;
+    injector.bind_ports(4);
+    std::istringstream in(bytes);
+    SnapshotReader r(in, kTestMagic, 1, "test snapshot");
+    injector.load_state(r);
+    r.expect_end();
+    (void)injector.advance_to(1.0);  // would index the counters with the port
+  });
+}
+
+TEST(Snapshot, FaultInjectorLoadAcceptsAWellFormedSnapshot) {
+  EXPECT_EQ(load_injector_error(injector_snapshot(3, 4)), "");
+}
+
+TEST(Snapshot, FaultInjectorLoadRejectsAPendingPortOutsideTheFabric) {
+  for (const PortId port : {4, 1000, -1}) {
+    const std::string error = load_injector_error(injector_snapshot(port, 4));
+    EXPECT_NE(error.find("pending transition names port " + std::to_string(port)),
+              std::string::npos)
+        << error;
+  }
+}
+
+TEST(Snapshot, FaultInjectorLoadRejectsDownCountersOfTheWrongLength) {
+  for (const std::uint64_t len : {0u, 3u, 5u}) {
+    const std::string error = load_injector_error(injector_snapshot(0, len));
+    EXPECT_NE(error.find("down-counter array has " + std::to_string(len) + " entries"),
+              std::string::npos)
+        << error;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ TEST(FlightRecorder, DumpsOnRecoveryReplanUnderInjectedPortFault) {
   d.at(2, 0) = 0.75;
   const Time delta = 0.05;
   sim::FaultConfig config;
-  config.port_faults.push_back({0.0, 0, sim::PortSide::kIngress, -1.0});
+  config.port_faults.push_back({0.0, 0, PortSide::kIngress, -1.0});
   sim::FaultInjector injector(config);
   sim::RecoveringController controller(reco_sin(d, delta), delta);
   const sim::SimulationReport r =
@@ -187,7 +187,7 @@ TEST(FlightRecorder, DisabledObsRecordsNothingDuringFaultRun) {
   d.at(3, 0) = 2.5;
   const Time delta = 0.05;
   sim::FaultConfig config;
-  config.port_faults.push_back({0.0, 0, sim::PortSide::kIngress, -1.0});
+  config.port_faults.push_back({0.0, 0, PortSide::kIngress, -1.0});
   sim::FaultInjector injector(config);
   sim::RecoveringController controller(reco_sin(d, delta), delta);
   (void)sim::simulate_single_coflow(controller, d, delta, injector);

@@ -26,20 +26,20 @@ std::vector<Coflow> small_workload(std::uint64_t seed, int k = 6, int n = 8) {
 }
 
 TEST(OnlinePolicyFactory, NamesAndFlags) {
-  const auto epoch = make_online_policy(OnlinePolicyKind::kEpochRecoMul);
-  EXPECT_STREQ(epoch->name(), "epoch-reco-mul");
-  EXPECT_FALSE(epoch->preempt_on_arrival());
-  EXPECT_FALSE(epoch->serialize_batch());
+  const OnlinePolicyKind epoch = OnlinePolicyKind::kEpochRecoMul;
+  EXPECT_STREQ(to_string(epoch), "epoch-reco-mul");
+  EXPECT_FALSE(preempts_on_arrival(epoch));
+  EXPECT_FALSE(serializes_batch(epoch));
 
-  const auto fifo = make_online_policy(OnlinePolicyKind::kFifoRecoSin);
-  EXPECT_STREQ(fifo->name(), "fifo-reco-sin");
-  EXPECT_FALSE(fifo->preempt_on_arrival());
-  EXPECT_TRUE(fifo->serialize_batch());
+  const OnlinePolicyKind fifo = OnlinePolicyKind::kFifoRecoSin;
+  EXPECT_STREQ(to_string(fifo), "fifo-reco-sin");
+  EXPECT_FALSE(preempts_on_arrival(fifo));
+  EXPECT_TRUE(serializes_batch(fifo));
 
-  const auto drain = make_online_policy(OnlinePolicyKind::kDrainReplanRecoMul);
-  EXPECT_STREQ(drain->name(), "drain-replan-reco-mul");
-  EXPECT_TRUE(drain->preempt_on_arrival());
-  EXPECT_FALSE(drain->serialize_batch());
+  const OnlinePolicyKind drain = OnlinePolicyKind::kDrainReplanRecoMul;
+  EXPECT_STREQ(to_string(drain), "drain-replan-reco-mul");
+  EXPECT_TRUE(preempts_on_arrival(drain));
+  EXPECT_FALSE(serializes_batch(drain));
 }
 
 TEST(OnlinePolicyFactory, ToStringCoversEveryKind) {

@@ -166,6 +166,90 @@ TEST(Controllers, HybridReplansEarlyWhenTheOldPlanIsFullyBlocked) {
   EXPECT_LT(r.cct, 5.0);  // nowhere near the deadline: the wait was skipped
 }
 
+// ---------------------------------------------------------------------------
+// Stacked faults: two overlapping failures of one port.  The port is down
+// until the second repair, and every reader of liveness must agree.
+
+/// Forwards to a controller and counts proposed circuits on a port the
+/// injector reports down at the decision instant.
+class DeadPortAudit final : public CircuitController {
+ public:
+  DeadPortAudit(CircuitController& inner, const FaultInjector& injector)
+      : inner_(inner), injector_(injector) {}
+  std::optional<CircuitAssignment> next_assignment(Time now, const Matrix& residual,
+                                                   const PortLiveness& ports) override {
+    auto next = inner_.next_assignment(now, residual, ports);
+    if (next.has_value()) {
+      for (const Circuit& c : next->circuits) {
+        if (!injector_.ports().circuit_up(c)) ++dead_proposals;
+      }
+    }
+    return next;
+  }
+  void on_port_failed(Time now, PortId port, PortSide side, const PortLiveness& ports) override {
+    inner_.on_port_failed(now, port, side, ports);
+  }
+  void on_port_repaired(Time now, PortId port, PortSide side,
+                        const PortLiveness& ports) override {
+    inner_.on_port_repaired(now, port, side, ports);
+  }
+  void on_setup_degraded(Time now, const CircuitAssignment& requested,
+                         const std::vector<Circuit>& established) override {
+    inner_.on_setup_degraded(now, requested, established);
+  }
+  int dead_proposals = 0;
+
+ private:
+  CircuitController& inner_;
+  const FaultInjector& injector_;
+};
+
+TEST(Controllers, StackedPortFaultsKeepThePortDownUntilTheLastRepair) {
+  // Port 3 is down over [1, 2] ms and over [1.5, 20] ms.  The first repair
+  // must not bring it up: no proposal may use it before 20 ms, and once it
+  // is back the whole demand is delivered — under immediate replanning and
+  // under the hybrid grace window alike.
+  Rng rng(1503);
+  const Time delta = 100e-6;
+  const Matrix d = testing::random_demand(rng, 8, 0.6, 0.5e-3, 4e-3);
+  FaultConfig faults;
+  faults.port_faults.push_back({1e-3, 3, PortSide::kBoth, 1e-3});
+  faults.port_faults.push_back({1.5e-3, 3, PortSide::kBoth, 18.5e-3});
+  for (const Time deadline : {0.0, 50e-3}) {
+    FaultInjector injector(faults);
+    RecoveringController recovering(reco_sin(d, delta), delta, BvnPolicy::kMaxMinAmortized,
+                                     deadline);
+    DeadPortAudit audit(recovering, injector);
+    const SimulationReport r = simulate_single_coflow(audit, d, delta, injector);
+    EXPECT_EQ(r.port_failures, 2) << "deadline " << deadline;
+    EXPECT_EQ(r.port_repairs, 2) << "deadline " << deadline;
+    EXPECT_EQ(injector.ports().ports_down(), 0) << "deadline " << deadline;
+    EXPECT_EQ(r.stranded_demand, 0.0) << "deadline " << deadline;
+    EXPECT_TRUE(r.satisfied) << "deadline " << deadline;
+    EXPECT_EQ(audit.dead_proposals, 0) << "deadline " << deadline;
+  }
+}
+
+TEST(Controllers, HybridResumedPlanStillServesWhatTheOutageBlocked) {
+  // One outage of port 3 over [1, 20] ms, repaired inside the 50 ms grace
+  // window: the original plan resumes, but the establishments it made
+  // during the outage dropped every port-3 circuit.  Once it runs dry the
+  // leftover must be planned, not stranded.
+  Rng rng(1503);
+  const Time delta = 100e-6;
+  const Matrix d = testing::random_demand(rng, 8, 0.6, 0.5e-3, 4e-3);
+  FaultConfig faults;
+  faults.port_faults.push_back({1e-3, 3, PortSide::kBoth, 19e-3});
+  FaultInjector injector(faults);
+  RecoveringController controller(reco_sin(d, delta), delta, BvnPolicy::kMaxMinAmortized,
+                                  /*replan_deadline=*/50e-3);
+  const SimulationReport r = simulate_single_coflow(controller, d, delta, injector);
+  EXPECT_EQ(r.port_repairs, 1);
+  EXPECT_EQ(r.stranded_demand, 0.0);
+  EXPECT_TRUE(r.satisfied);
+  EXPECT_GE(controller.replans(), 1);
+}
+
 TEST(Controllers, CompletionTimelineIsSorted) {
   Rng rng(972);
   const Matrix d = testing::random_demand(rng, 6, 0.7, 0.5, 5.0);

@@ -12,27 +12,27 @@ namespace {
 TEST(FaultValidation, RejectsRetryProbabilityOfOne) {
   // retry_probability >= 1 made the pre-cap retry loop spin forever; it is
   // now rejected outright.
-  FaultModel m;
+  FaultConfig m;
   m.retry_probability = 1.0;
-  EXPECT_THROW(validate_fault_model(m), std::invalid_argument);
+  EXPECT_THROW(validate_fault_config(m), std::invalid_argument);
   m.retry_probability = 1.5;
-  EXPECT_THROW(validate_fault_model(m), std::invalid_argument);
+  EXPECT_THROW(validate_fault_config(m), std::invalid_argument);
   m.retry_probability = 0.999;
-  EXPECT_NO_THROW(validate_fault_model(m));
+  EXPECT_NO_THROW(validate_fault_config(m));
 }
 
 TEST(FaultValidation, RejectsNegativeOrNonFiniteJitter) {
-  FaultModel m;
+  FaultConfig m;
   m.jitter_fraction = -0.1;
-  EXPECT_THROW(validate_fault_model(m), std::invalid_argument);
+  EXPECT_THROW(validate_fault_config(m), std::invalid_argument);
   m.jitter_fraction = std::nan("");
-  EXPECT_THROW(validate_fault_model(m), std::invalid_argument);
+  EXPECT_THROW(validate_fault_config(m), std::invalid_argument);
 }
 
 TEST(FaultValidation, RejectsNonPositiveAttemptBudget) {
-  FaultModel m;
+  FaultConfig m;
   m.max_attempts = 0;
-  EXPECT_THROW(validate_fault_model(m), std::invalid_argument);
+  EXPECT_THROW(validate_fault_config(m), std::invalid_argument);
 }
 
 TEST(FaultValidation, RejectsBadConfig) {
@@ -62,7 +62,7 @@ TEST(FaultValidation, RejectsBadConfig) {
     EXPECT_THROW(validate_fault_config(c), std::invalid_argument);
   }
   // The injector constructor validates too.
-  FaultModel bad;
+  FaultConfig bad;
   bad.retry_probability = 2.0;
   EXPECT_THROW(FaultInjector{bad}, std::invalid_argument);
 }
@@ -100,21 +100,22 @@ TEST(FaultInjector, ScriptedFaultAndRepairTransitionsInOrder) {
   EXPECT_FALSE(first[0].up);
   EXPECT_NEAR(first[1].at, 2.0, 1e-12);
   EXPECT_EQ(first[1].port, 1);
-  EXPECT_FALSE(injector.ingress_up(1));
-  EXPECT_TRUE(injector.egress_up(1));  // ingress-side fault only
-  EXPECT_FALSE(injector.ingress_up(2));
-  EXPECT_FALSE(injector.egress_up(2));
-  EXPECT_FALSE(injector.circuit_ports_up({1, 3}));
-  EXPECT_TRUE(injector.circuit_ports_up({3, 1}));
+  const PortLiveness& ports = injector.ports();
+  EXPECT_FALSE(ports.ingress_up(1));
+  EXPECT_TRUE(ports.egress_up(1));  // ingress-side fault only
+  EXPECT_FALSE(ports.ingress_up(2));
+  EXPECT_FALSE(ports.egress_up(2));
+  EXPECT_FALSE(ports.circuit_up({1, 3}));
+  EXPECT_TRUE(ports.circuit_up({3, 1}));
 
   ASSERT_TRUE(injector.next_repair().has_value());
   EXPECT_NEAR(*injector.next_repair(), 5.0, 1e-12);
   const auto second = injector.advance_to(10.0);
   ASSERT_EQ(second.size(), 1u);
   EXPECT_TRUE(second[0].up);
-  EXPECT_TRUE(injector.ingress_up(1));
+  EXPECT_TRUE(ports.ingress_up(1));
   EXPECT_FALSE(injector.next_repair().has_value());  // port 2 is permanent
-  EXPECT_EQ(injector.ports_down(), 1);
+  EXPECT_EQ(ports.ports_down(), 1);
 }
 
 TEST(FaultInjector, BindRejectsOutOfRangeScriptedPort) {
@@ -127,7 +128,7 @@ TEST(FaultInjector, BindRejectsOutOfRangeScriptedPort) {
 TEST(FaultInjector, AttemptBudgetExhaustionFailsTheSetup) {
   FaultConfig config;
   config.setup_timeout_probability = 0.999999;  // essentially every attempt
-  config.timing.max_attempts = 3;
+  config.max_attempts = 3;
   FaultInjector injector(config);
   injector.bind_ports(4);
   const SetupOutcome o = injector.sample_setup(0.01, {{0, 1}});
@@ -142,7 +143,7 @@ TEST(FaultInjector, AttemptBudgetExhaustionFailsTheSetup) {
 TEST(FaultInjector, BackoffIsCapped) {
   FaultConfig config;
   config.setup_timeout_probability = 0.999999;
-  config.timing.max_attempts = 40;
+  config.max_attempts = 40;
   config.backoff_factor = 4.0;
   config.backoff_cap = 8.0;
   FaultInjector injector(config);

@@ -22,7 +22,8 @@ TEST(Faults, DefaultModelMatchesIdealSwitch) {
   ReplayController a(s);
   ReplayController b(s);
   const SimulationReport ideal = simulate_single_coflow(a, d, delta);
-  const SimulationReport with_model = simulate_single_coflow(b, d, delta, FaultModel{});
+  FaultInjector injector(FaultConfig{});
+  const SimulationReport with_model = simulate_single_coflow(b, d, delta, injector);
   EXPECT_DOUBLE_EQ(ideal.cct, with_model.cct);
   EXPECT_EQ(ideal.reconfigurations, with_model.reconfigurations);
 }
@@ -33,10 +34,11 @@ TEST(Faults, JitterOnlySlowsDown) {
   const CircuitSchedule s = reco_sin(d, delta);
   ReplayController a(s);
   const SimulationReport ideal = simulate_single_coflow(a, d, delta);
-  FaultModel faults;
+  FaultConfig faults;
   faults.jitter_fraction = 0.5;
   ReplayController b(s);
-  const SimulationReport jittered = simulate_single_coflow(b, d, delta, faults);
+  FaultInjector injector(faults);
+  const SimulationReport jittered = simulate_single_coflow(b, d, delta, injector);
   EXPECT_TRUE(jittered.satisfied);
   EXPECT_GE(jittered.cct, ideal.cct - 1e-9);
   // Worst case: every setup 1.5x slower.
@@ -49,10 +51,11 @@ TEST(Faults, RetriesInflateReconfigurationTime) {
   const Matrix d = demand_under_test(503);
   const Time delta = 0.1;
   const CircuitSchedule s = reco_sin(d, delta);
-  FaultModel faults;
+  FaultConfig faults;
   faults.retry_probability = 0.4;
   ReplayController a(s);
-  const SimulationReport faulty = simulate_single_coflow(a, d, delta, faults);
+  FaultInjector injector(faults);
+  const SimulationReport faulty = simulate_single_coflow(a, d, delta, injector);
   EXPECT_TRUE(faulty.satisfied);
   // Expected attempts per setup = 1/(1-p) ~ 1.67: with 40% retries some
   // setup almost surely repeated.
@@ -63,43 +66,58 @@ TEST(Faults, DeterministicPerSeed) {
   const Matrix d = demand_under_test(504);
   const Time delta = 0.1;
   const CircuitSchedule s = reco_sin(d, delta);
-  FaultModel faults;
+  FaultConfig faults;
   faults.jitter_fraction = 0.3;
   faults.retry_probability = 0.2;
   ReplayController a(s);
   ReplayController b(s);
-  const SimulationReport r1 = simulate_single_coflow(a, d, delta, faults);
-  const SimulationReport r2 = simulate_single_coflow(b, d, delta, faults);
+  FaultInjector ia(faults);
+  FaultInjector ib(faults);
+  const SimulationReport r1 = simulate_single_coflow(a, d, delta, ia);
+  const SimulationReport r2 = simulate_single_coflow(b, d, delta, ib);
   EXPECT_DOUBLE_EQ(r1.cct, r2.cct);
   faults.seed = 99;
   ReplayController c(s);
-  const SimulationReport r3 = simulate_single_coflow(c, d, delta, faults);
+  FaultInjector ic(faults);
+  const SimulationReport r3 = simulate_single_coflow(c, d, delta, ic);
   EXPECT_NE(r1.cct, r3.cct);  // different fault stream, different timeline
 }
 
 TEST(Faults, DemandStillFullyServedUnderHeavyFaults) {
   const Matrix d = demand_under_test(505);
   const Time delta = 0.05;
-  FaultModel faults;
+  FaultConfig faults;
   faults.jitter_fraction = 1.0;
   faults.retry_probability = 0.5;
   ReplayController a(reco_sin(d, delta));
-  const SimulationReport r = simulate_single_coflow(a, d, delta, faults);
+  FaultInjector injector(faults);
+  const SimulationReport r = simulate_single_coflow(a, d, delta, injector);
   EXPECT_TRUE(r.satisfied);  // faults cost time, never correctness
 }
 
 TEST(Faults, LegacyModelValidatedAtSimulationEntry) {
   // Regression: retry_probability >= 1 used to spin the retry loop forever
-  // and negative jitter was silently accepted; both now throw up front.
+  // and negative jitter was silently accepted; both now throw up front:
+  // the injector a simulation needs cannot be built from either config.
   const Matrix d = demand_under_test(506);
-  FaultModel forever;
+  FaultConfig forever;
   forever.retry_probability = 1.0;
   ReplayController a(reco_sin(d, 0.1));
-  EXPECT_THROW(simulate_single_coflow(a, d, 0.1, forever), std::invalid_argument);
-  FaultModel negative;
+  EXPECT_THROW(
+      {
+        FaultInjector injector(forever);
+        simulate_single_coflow(a, d, 0.1, injector);
+      },
+      std::invalid_argument);
+  FaultConfig negative;
   negative.jitter_fraction = -0.5;
   ReplayController b(reco_sin(d, 0.1));
-  EXPECT_THROW(simulate_single_coflow(b, d, 0.1, negative), std::invalid_argument);
+  EXPECT_THROW(
+      {
+        FaultInjector injector(negative);
+        simulate_single_coflow(b, d, 0.1, injector);
+      },
+      std::invalid_argument);
 }
 
 TEST(Faults, ExhaustedAttemptBudgetTerminatesWithAccounting) {
@@ -108,11 +126,12 @@ TEST(Faults, ExhaustedAttemptBudgetTerminatesWithAccounting) {
   // either delivered or reported stranded.
   const Matrix d = demand_under_test(507);
   const Time delta = 0.05;
-  FaultModel faults;
+  FaultConfig faults;
   faults.retry_probability = 0.99;
   faults.max_attempts = 2;
   ReplayController a(reco_sin(d, delta));
-  const SimulationReport r = simulate_single_coflow(a, d, delta, faults);
+  FaultInjector injector(faults);
+  const SimulationReport r = simulate_single_coflow(a, d, delta, injector);
   EXPECT_GT(r.setup_failures, 0);
   EXPECT_NEAR(r.delivered_demand + r.stranded_demand, d.total(), 1e-5);
   EXPECT_EQ(r.satisfied, r.stranded_demand < kMinServiceQuantum);
@@ -192,9 +211,9 @@ TEST(Faults, ConservationHoldsUnderFaultSoup) {
   for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
     const Matrix d = demand_under_test(600 + seed);
     FaultConfig config;
-    config.timing.jitter_fraction = 0.3;
-    config.timing.retry_probability = 0.2;
-    config.timing.max_attempts = 8;
+    config.jitter_fraction = 0.3;
+    config.retry_probability = 0.2;
+    config.max_attempts = 8;
     config.port_mtbf = 2.0;
     config.port_mttr = 0.5;
     config.setup_timeout_probability = 0.2;
@@ -215,7 +234,7 @@ TEST(Faults, FaultStreamIdenticalAcrossThreadCounts) {
   const Matrix d = demand_under_test(509);
   const Time delta = 0.05;
   FaultConfig config;
-  config.timing.jitter_fraction = 0.25;
+  config.jitter_fraction = 0.25;
   config.port_mtbf = 1.5;
   config.port_mttr = 0.3;
   config.setup_timeout_probability = 0.15;
@@ -240,28 +259,28 @@ TEST(Faults, FaultStreamIdenticalAcrossThreadCounts) {
   EXPECT_EQ(reports[0].reconfigurations, reports[1].reconfigurations);
 }
 
-TEST(Faults, NotAllStopReplayAcceptsFaultModel) {
+TEST(Faults, NotAllStopReplayAcceptsFaultConfig) {
   const Matrix d = demand_under_test(510);
   const Time delta = 0.1;
   const CircuitSchedule s = reco_sin(d, delta);
   const SimulationReport ideal = simulate_not_all_stop_replay(s, d, delta);
-  const SimulationReport with_default = simulate_not_all_stop_replay(s, d, delta, FaultModel{});
+  const SimulationReport with_default = simulate_not_all_stop_replay(s, d, delta, FaultConfig{});
   EXPECT_DOUBLE_EQ(ideal.cct, with_default.cct);
   EXPECT_EQ(ideal.reconfigurations, with_default.reconfigurations);
 
-  FaultModel jitter;
+  FaultConfig jitter;
   jitter.jitter_fraction = 0.5;
   const SimulationReport slowed = simulate_not_all_stop_replay(s, d, delta, jitter);
   EXPECT_TRUE(slowed.satisfied);
   EXPECT_GE(slowed.cct, ideal.cct - 1e-9);
 
-  FaultModel flaky;
+  FaultConfig flaky;
   flaky.retry_probability = 0.9;
   flaky.max_attempts = 2;
   const SimulationReport degraded = simulate_not_all_stop_replay(s, d, delta, flaky);
   EXPECT_NEAR(degraded.delivered_demand + degraded.stranded_demand, d.total(), 1e-5);
 
-  FaultModel invalid;
+  FaultConfig invalid;
   invalid.retry_probability = 1.0;
   EXPECT_THROW(simulate_not_all_stop_replay(s, d, delta, invalid), std::invalid_argument);
 }
