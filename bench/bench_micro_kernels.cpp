@@ -29,6 +29,7 @@
 #include "obs/obs.hpp"
 #include "ocs/all_stop_executor.hpp"
 #include "oracles/dense_reference.hpp"
+#include "sched/packet_scheduler.hpp"
 #include "sched/reco_sin.hpp"
 #include "sched/solstice.hpp"
 #include "trace/generator.hpp"
@@ -344,6 +345,39 @@ void BM_RecoSinEndToEnd(benchmark::State& state) {
   report_shape(state, m);
 }
 BENCHMARK(BM_RecoSinEndToEnd)->Args({16, 1000})->Args({32, 500})->Args({64, 200});
+
+// ---- packet-switch list scheduler ----------------------------------------
+//
+// One earliest_fit query on a port holding state.range(0) busy intervals
+// (lengths U[0.5, 1.5], gaps U[0, 1]); each query starts at a uniform t
+// in the horizon and asks for a flow-sized gap d ~ U[0.5, 1.5].  A scan
+// from the first interval costs time linear in the intervals before t;
+// the gap-indexed timeline costs a binary search plus a few block skips.
+// CI's perf-guard gates the 8192/64 ratio measured in the same run.
+void BM_PortTimelineEarliestFit(benchmark::State& state) {
+  const int intervals = static_cast<int>(state.range(0));
+  Rng rng(4242);
+  PortTimeline port;
+  Time cursor = 0.0;
+  for (int k = 0; k < intervals; ++k) {
+    cursor += rng.uniform(0.0, 1.0);
+    const Time end = cursor + rng.uniform(0.5, 1.5);
+    port.insert(cursor, end);
+    cursor = end;
+  }
+  std::vector<std::pair<Time, Time>> queries(1024);
+  for (auto& [t, d] : queries) {
+    t = rng.uniform(0.0, cursor);
+    d = rng.uniform(0.5, 1.5);
+  }
+  std::size_t q = 0;
+  for (auto _ : state) {
+    const auto& [t, d] = queries[q++ & 1023];
+    benchmark::DoNotOptimize(port.earliest_fit(t, d));
+  }
+  state.counters["N"] = intervals;
+}
+BENCHMARK(BM_PortTimelineEarliestFit)->Arg(64)->Arg(1024)->Arg(8192);
 
 void BM_WorkloadGeneration(benchmark::State& state) {
   GeneratorOptions o;

@@ -13,8 +13,9 @@
 //
 // Determinism contract: every decision is a pure function of submitted
 // coflows and options.  Wall-clock enters only the latency recorder and
-// obs telemetry, which never feed back; `runtime::parallel_for` call sites
-// write by index — so replays are byte-identical across `--threads`.
+// obs telemetry, which never feed back, and every stage (ordering, packet
+// schedule, transform) runs inline on the calling thread — so replays are
+// byte-identical across `--threads`.
 #pragma once
 
 #include <array>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <stdexcept>
 #include <string>
 
 #include "obs/flight_recorder.hpp"
@@ -283,6 +284,13 @@ SimulationReport simulate_not_all_stop_replay(const CircuitSchedule& schedule,
                                               const Matrix& demand, Time delta,
                                               const FaultConfig& faults) {
   obs::ScopedSpan span("sim.not_all_stop_replay", "sim");
+  // Circuit timing is fixed per port pair up front, so there is no
+  // event at which a port could go down: reject port faults rather than
+  // run them as an ideal-port replay.
+  if (!faults.port_faults.empty() || faults.port_mtbf > 0.0) {
+    throw std::invalid_argument(
+        "simulate_not_all_stop_replay: port faults are not supported; only setup faults apply");
+  }
   FaultInjector injector(faults);  // validates; default = ideal switch
   SimulationReport report;
   const int n = demand.n();

@@ -64,9 +64,10 @@ SimulationReport simulate_single_coflow(CircuitController& controller, const Mat
 
 /// Event-driven replay of a precomputed schedule on a not-all-stop OCS
 /// (per-port reconfiguration; unchanged circuits keep transmitting).
-/// Samples every circuit setup from `faults` like the all-stop path (its
-/// port faults do not apply: ports reconfigure independently here); the
-/// default is the ideal switch.
+/// Samples every circuit setup from `faults` like the all-stop path; the
+/// default is the ideal switch.  Port faults are not modelled here: a
+/// config with `port_faults` or `port_mtbf > 0` throws
+/// std::invalid_argument.
 SimulationReport simulate_not_all_stop_replay(const CircuitSchedule& schedule,
                                               const Matrix& demand, Time delta,
                                               const FaultConfig& faults = {});

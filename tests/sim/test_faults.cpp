@@ -285,6 +285,28 @@ TEST(Faults, NotAllStopReplayAcceptsFaultConfig) {
   EXPECT_THROW(simulate_not_all_stop_replay(s, d, delta, invalid), std::invalid_argument);
 }
 
+TEST(Faults, NotAllStopReplayRejectsPortFaults) {
+  // The replay has no port liveness; a config with port faults must not
+  // silently run as an ideal-port replay.
+  const Matrix d = demand_under_test(511);
+  const Time delta = 0.1;
+  const CircuitSchedule s = reco_sin(d, delta);
+
+  FaultConfig scripted;
+  scripted.port_faults.push_back({0.05, 0, PortSide::kBoth, 0.2});
+  EXPECT_THROW(simulate_not_all_stop_replay(s, d, delta, scripted), std::invalid_argument);
+
+  FaultConfig renewal;
+  renewal.port_mtbf = 1.0;
+  renewal.port_mttr = 0.1;
+  EXPECT_THROW(simulate_not_all_stop_replay(s, d, delta, renewal), std::invalid_argument);
+
+  // Setup faults alone still run.
+  FaultConfig setup_only;
+  setup_only.jitter_fraction = 0.25;
+  EXPECT_TRUE(simulate_not_all_stop_replay(s, d, delta, setup_only).satisfied);
+}
+
 std::vector<Coflow> multi_workload() {
   std::vector<Coflow> coflows(2);
   coflows[0].id = 0;
